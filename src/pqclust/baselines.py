@@ -18,7 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .clustering import ClusteringResult, IterationStats, _chunk_bounds
+from .clustering import ClusteringResult, IterationStats
+
+# Target element count per assignment chunk, bounds scratch memory.
+_CHUNK_BUDGET = 1 << 22
 
 _POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
@@ -35,6 +38,13 @@ def cluster_means(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
         axis=1,
     )
     return np.divide(sums, counts[:, None], out=np.zeros_like(sums), where=counts[:, None] > 0)
+
+
+def _chunk_bounds(n: int, k: int) -> list[tuple[int, int]]:
+    # Depends on N and K only, never on the thread count, so chunked
+    # results are identical for any worker configuration.
+    chunk = max(1, min(8192, _CHUNK_BUDGET // max(k, 1)))
+    return [(s, min(s + chunk, n)) for s in range(0, n, chunk)]
 
 
 def _assigned_sq_distances(points: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> np.ndarray:

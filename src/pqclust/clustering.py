@@ -20,8 +20,9 @@ import numpy as np
 
 from .pq import DistanceTables, _validate_codes, paired_distance_sq
 
-# Target float64 element count per assignment chunk, bounds scratch memory.
-_CHUNK_BUDGET = 1 << 22
+# Float64 elements per assignment block: 512 KiB of scratch stays in L2
+# across the M gathers of one block, where a larger block spills to memory.
+_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass
@@ -157,13 +158,6 @@ def init_centers(codes: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
     return codes[rng.choice(len(codes), size=k, replace=False)].copy()
 
 
-def _chunk_bounds(n: int, k: int) -> list[tuple[int, int]]:
-    # Depends on N and K only, never on the thread count, so chunked
-    # results are identical for any worker configuration.
-    chunk = max(1, min(8192, _CHUNK_BUDGET // max(k, 1)))
-    return [(s, min(s + chunk, n)) for s in range(0, n, chunk)]
-
-
 def _assign_linear_scan(
     codes: np.ndarray,
     centers: np.ndarray,
@@ -172,28 +166,35 @@ def _assign_linear_scan(
 ) -> np.ndarray:
     """Exhaustive nearest-center scan through the lookup tables."""
     n, m_count = codes.shape
-    k = len(centers)
     # (L, K) table slice per subspace; assignment then only gathers rows.
     restricted = [
         np.ascontiguousarray(tables.tables[m][:, centers[:, m]])
         for m in range(m_count)
     ]
     labels = np.empty(n, dtype=np.uint32)
+    block = max(1, _BLOCK_ELEMENTS // len(centers))
 
-    def work(bounds: tuple[int, int]) -> None:
-        start, stop = bounds
-        acc = np.zeros((stop - start, k), dtype=np.float64)
-        for m in range(m_count):
-            acc += restricted[m][codes[start:stop, m]]
-        labels[start:stop] = np.argmin(acc, axis=1)
+    def scan(start: int, stop: int) -> None:
+        for a in range(start, stop, block):
+            b = min(a + block, stop)
+            acc = restricted[0][codes[a:b, 0]]
+            for m in range(1, m_count):
+                acc += restricted[m][codes[a:b, m]]
+            labels[a:b] = np.argmin(acc, axis=1)
 
-    bounds = _chunk_bounds(n, k)
-    if threads > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, bounds))
+    # A row's label depends on that row alone, so any split of [0, N)
+    # gives the same labels.
+    parts = min(threads, n)
+    if parts > 1:
+        edges = [n * t // parts for t in range(parts + 1)]
+        with ThreadPoolExecutor(max_workers=parts) as pool:
+            futures = [
+                pool.submit(scan, edges[t], edges[t + 1]) for t in range(parts)
+            ]
+            for future in futures:
+                future.result()
     else:
-        for b in bounds:
-            work(b)
+        scan(0, n)
     return labels
 
 
@@ -316,11 +317,17 @@ def _assigned_distance_sq(
         raise ValueError(
             f"assignment must have shape ({len(codes)},), got {assignment.shape}"
         )
-    if len(assignment) and assignment.max() >= len(centers):
+    if not np.issubdtype(assignment.dtype, np.integer):
         raise ValueError(
-            f"assignment references center {assignment.max()} "
-            f"but only {len(centers)} centers exist"
+            f"assignment must hold integer labels, got dtype {assignment.dtype}"
         )
+    if len(assignment):
+        low, high = int(assignment.min()), int(assignment.max())
+        if low < 0 or high >= len(centers):
+            raise ValueError(
+                f"assignment references center {low if low < 0 else high} "
+                f"outside [0, {len(centers)})"
+            )
     return paired_distance_sq(tables, codes, centers[assignment])
 
 

@@ -373,24 +373,24 @@ def test_criterion_10_format_round_trips(tmp_path):
     rng = np.random.default_rng(1010)
     failures = 0
 
-    path = tmp_path / "case.fvecs"
-    for _ in range(1000):
+    for case in range(1000):
+        path = tmp_path / f"case{case}.fvecs"
         n, d = int(rng.integers(1, 7)), int(rng.integers(1, 13))
         scale = float(rng.choice([1e-30, 1.0, 1e30]))
         vectors = (rng.standard_normal((n, d)) * scale).astype(np.float32)
         write_fvecs(path, vectors)
         failures += read_fvecs(path).tobytes() != vectors.tobytes()
 
-    path = tmp_path / "case.bvecs"
-    for _ in range(1000):
+    for case in range(1000):
+        path = tmp_path / f"case{case}.bvecs"
         n, d = int(rng.integers(1, 7)), int(rng.integers(1, 13))
         vectors = rng.integers(0, 256, size=(n, d), dtype=np.uint8)
         write_bvecs(path, vectors)
         back = read_bvecs(path)
         failures += not np.array_equal(back, vectors.astype(np.float32))
 
-    path = tmp_path / "case.pqkc"
-    for _ in range(1000):
+    for case in range(1000):
+        path = tmp_path / f"case{case}.pqkc"
         n, m = int(rng.integers(0, 9)), int(rng.integers(1, 9))
         l_count = int(rng.integers(2, 257))
         codes = rng.integers(0, l_count, size=(n, m)).astype(np.uint8)
@@ -400,8 +400,8 @@ def test_criterion_10_format_round_trips(tmp_path):
             back.tobytes() != codes.tobytes() or back_m != m or back_l != l_count
         )
 
-    path = tmp_path / "case.pqkb"
-    for _ in range(1000):
+    for case in range(1000):
+        path = tmp_path / f"case{case}.pqkb"
         n, w = int(rng.integers(1, 9)), int(rng.integers(1, 5))
         packed = rng.integers(0, 256, size=(n, w), dtype=np.uint8)
         write_binary_codes(path, packed)

@@ -151,6 +151,32 @@ class TestAssignment:
         many = assign(codes, centers, tables, threads=8)
         assert one.tobytes() == many.tobytes()
 
+    @pytest.mark.parametrize("threads", [1, 2, 8])
+    @pytest.mark.parametrize(
+        "n, k, lattice",
+        [
+            (1000, 3000, False),  # 21-row blocks, the last one partial
+            (5, 65537, False),  # 1-row blocks
+            (1, 7, False),  # fewer rows than threads
+            (1001, 50, False),  # N not divisible by the thread count
+            (777, 300, True),  # exact ties across duplicate centers
+        ],
+    )
+    def test_blocked_scan_matches_vectorized_reference(self, n, k, lattice, threads):
+        rng = np.random.default_rng(n + k)
+        tables = lattice_tables(3, 8) if lattice else random_tables(3, 16, seed=k)
+        l_count = tables.num_codewords
+        codes = rng.integers(0, l_count, size=(n, 3), dtype=np.uint8)
+        centers = rng.integers(0, l_count, size=(k, 3), dtype=np.uint8)
+        if lattice:
+            centers[1::2] = centers[::2][: k // 2]
+        dists = sum(
+            tables.tables[m][codes[:, m]][:, centers[:, m]] for m in range(3)
+        )
+        expected = np.argmin(dists, axis=1).astype(np.uint32)
+        got = _assign_linear_scan(codes, centers, tables, threads)
+        assert got.tobytes() == expected.tobytes()
+
     def test_assign_validation(self):
         tables = random_tables(2, 8)
         codes = np.zeros((4, 2), dtype=np.uint8)
@@ -227,6 +253,14 @@ class TestCosts:
             pq_cost(codes, centers, np.zeros(2, dtype=np.uint32), tables)
         with pytest.raises(ValueError, match="references center"):
             pq_cost(codes, centers, np.array([0, 1, 2], dtype=np.uint32), tables)
+        with pytest.raises(ValueError, match="references center -1"):
+            pq_cost(codes, centers, [0, 1, -1], tables)
+        with pytest.raises(ValueError, match="references center -1"):
+            pq_cost_sq(codes, centers, np.array([0, -1, 1], dtype=np.int64), tables)
+        with pytest.raises(ValueError, match="integer labels"):
+            pq_cost(codes, centers, np.array([0.0, 1.0, 0.0]), tables)
+        with pytest.raises(ValueError, match="integer labels"):
+            pq_cost_sq(codes, centers, np.array([True, False, True]), tables)
 
 
 class TestFit:
