@@ -32,10 +32,6 @@ from .clustering import (
     init_centers,
     pq_cost,
     pq_cost_sq,
-    register_assignment_strategy,
-    registered_assignment_strategies,
-    select_assignment_strategy,
-    unregister_assignment_strategy,
     update_center_naive,
     update_center_sparse,
 )
@@ -81,14 +77,10 @@ __all__ = [
     "pq_cost",
     "pq_cost_sq",
     "rand_index",
-    "register_assignment_strategy",
-    "registered_assignment_strategies",
-    "select_assignment_strategy",
     "symmetric_distance_sq",
     "train_binarizer",
     "train_codebook",
     "unpack_bits",
-    "unregister_assignment_strategy",
     "update_center_naive",
     "update_center_sparse",
 ]

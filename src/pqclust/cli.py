@@ -260,18 +260,14 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     result, row = _run_method(args, args.method, args.k)
 
     labels_path = out_dir / "labels.bin"
-    io.write_labels(labels_path, result.labels)
     if args.method == "pqkmeans":
         centers_path = out_dir / "centers.pqkc"
-        io.write_codes(centers_path, result.centers, int(row["l"]))
     elif args.method == "kmeans":
         centers_path = out_dir / "centers.fvecs"
-        io.write_fvecs(centers_path, result.centers.astype(np.float32))
     else:
         centers_path = out_dir / "centers.pqkb"
-        io.write_binary_codes(centers_path, result.centers)
     trace_path = out_dir / "trace.csv"
-    _write_trace_csv(trace_path, result.trace)
+    result_path = out_dir / "result.json"
 
     document = {
         "command": "cluster",
@@ -301,6 +297,9 @@ def cmd_cluster(args: argparse.Namespace) -> int:
                 "update_seconds": s.update_seconds,
                 "repaired_clusters": s.repaired_clusters,
                 "mean_histogram_nnz": s.mean_histogram_nnz,
+                "label_changes": s.label_changes,
+                "moved_centers": s.moved_centers,
+                "rescanned_points": s.rescanned_points,
             }
             for s in result.trace
         ],
@@ -310,10 +309,31 @@ def cmd_cluster(args: argparse.Namespace) -> int:
             "trace_csv": str(trace_path),
         },
     }
-    io.save_result_document(out_dir / "result.json", document)
 
-    if len(io.read_labels(labels_path)) != int(row["n"]):
-        raise ValueError(f"{labels_path}: written labels failed validation")
+    # Every artifact goes to a temporary name beside its final one and is
+    # moved into place only after all four are written and the labels
+    # read back, so a failed run leaves the previous run's artifacts whole.
+    staged = {
+        path: path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        for path in (labels_path, centers_path, trace_path, result_path)
+    }
+    try:
+        io.write_labels(staged[labels_path], result.labels)
+        if args.method == "pqkmeans":
+            io.write_codes(staged[centers_path], result.centers, int(row["l"]))
+        elif args.method == "kmeans":
+            io.write_fvecs(staged[centers_path], result.centers.astype(np.float32))
+        else:
+            io.write_binary_codes(staged[centers_path], result.centers)
+        _write_trace_csv(staged[trace_path], result.trace)
+        io.save_result_document(staged[result_path], document)
+        if len(io.read_labels(staged[labels_path])) != int(row["n"]):
+            raise ValueError(f"{labels_path}: written labels failed validation")
+        for path, temp in staged.items():
+            os.replace(temp, path)
+    finally:
+        for temp in staged.values():
+            temp.unlink(missing_ok=True)
     print(
         f"{args.method}: n={row['n']} k={args.k} "
         f"iterations={result.iterations_run} converged={result.converged} "

@@ -13,8 +13,10 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from functools import partial
+from typing import Sequence
 
 import numpy as np
 
@@ -24,6 +26,11 @@ from .pq import DistanceTables, _validate_codes, paired_distance_sq
 # across the M gathers of one block, where a larger block spills to memory.
 _BLOCK_ELEMENTS = 1 << 16
 
+# Rows per selection group of the incremental assignment: each group picks
+# the rows it must scan, then scans them in cache blocks. Selecting per
+# cache block instead costs more numpy calls than the lookups it saves.
+_GROUP_ROWS = 8192
+
 
 @dataclass
 class IterationStats:
@@ -32,6 +39,12 @@ class IterationStats:
     The objective is the mean non-squared distance of every point to its
     assigned center, measured right after the assignment step. The
     squared variant of the same quantity is kept alongside it.
+
+    label_changes counts the points whose label differs from the previous
+    iteration's, moved_centers the centers whose code differs from the
+    previous iteration's, and rescanned_points the points compared against
+    every center. The first iteration reports N, K and N. The baselines
+    leave the three at None.
     """
 
     iteration: int
@@ -41,6 +54,9 @@ class IterationStats:
     update_seconds: float
     repaired_clusters: int = 0
     mean_histogram_nnz: float | None = None
+    label_changes: int | None = None
+    moved_centers: int | None = None
+    rescanned_points: int | None = None
 
 
 @dataclass
@@ -158,6 +174,167 @@ def init_centers(codes: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
     return codes[rng.choice(len(codes), size=k, replace=False)].copy()
 
 
+def _center_columns(tables: DistanceTables, centers: np.ndarray) -> list[np.ndarray]:
+    """(L, C) table slice per subspace; a scan then only gathers rows."""
+    return [
+        np.ascontiguousarray(tables.tables[m][:, centers[:, m]])
+        for m in range(tables.num_subspaces)
+    ]
+
+
+def _scan(
+    codes: np.ndarray,
+    columns: list[np.ndarray],
+    scratch: tuple[np.ndarray, np.ndarray],
+    labels: np.ndarray,
+    dists: np.ndarray | None = None,
+) -> None:
+    """Nearest column for every code row, lowest index on ties.
+
+    Writes the column index into labels and, when given, its squared
+    distance into dists. Each block sums the M gathers into the scratch
+    in subspace order, so a distance is bit-identical to
+    paired_distance_sq's for the same pair.
+    """
+    width = columns[0].shape[1]
+    block = max(1, _BLOCK_ELEMENTS // width)
+    acc_buf, tmp_buf = scratch
+    for a in range(0, len(codes), block):
+        b = min(a + block, len(codes))
+        acc = acc_buf[: (b - a) * width].reshape(b - a, width)
+        tmp = tmp_buf[: (b - a) * width].reshape(b - a, width)
+        # mode="clip" gathers straight into out; codes are validated.
+        np.take(columns[0], codes[a:b, 0], axis=0, out=acc, mode="clip")
+        for m in range(1, len(columns)):
+            np.take(columns[m], codes[a:b, m], axis=0, out=tmp, mode="clip")
+            acc += tmp
+        best = acc.argmin(axis=1)
+        labels[a:b] = best
+        if dists is not None:
+            dists[a:b] = acc[np.arange(b - a), best]
+
+
+@contextmanager
+def _range_runner(threads: int, n: int, width: int):
+    """Yield run(task), which calls task(start, stop, scratch) per range.
+
+    [0, N) is split into min(threads, N) contiguous ranges, one per worker
+    thread. Each range owns a scratch pair for scans over up to `width`
+    columns, allocated once here rather than per scan. run returns the
+    tasks' results in range order. A row's label depends on that row
+    alone, so any split gives the same labels.
+    """
+    parts = max(1, min(threads, n))
+    edges = [n * t // parts for t in range(parts + 1)]
+    # A scan over w columns uses max(1, _BLOCK_ELEMENTS // w) * w elements.
+    size = max(_BLOCK_ELEMENTS, width)
+    scratch = [(np.empty(size), np.empty(size)) for _ in range(parts)]
+    if parts == 1:
+        yield lambda task: [task(0, n, scratch[0])]
+        return
+    with ThreadPoolExecutor(max_workers=parts) as pool:
+
+        def run(task):
+            futures = [
+                pool.submit(task, edges[t], edges[t + 1], scratch[t])
+                for t in range(parts)
+            ]
+            return [future.result() for future in futures]
+
+        yield run
+
+
+def _scan_range(codes, columns, labels, dists, start, stop, scratch) -> None:
+    """Full scan of the rows of [start, stop) against every column."""
+    _scan(
+        codes[start:stop],
+        columns,
+        scratch,
+        labels[start:stop],
+        None if dists is None else dists[start:stop],
+    )
+
+
+def _challenge(codes, columns, moved, moved_mask, labels, dists, start, stop, scratch):
+    """Compare the rows of [start, stop) whose center kept its code against
+    the moved centers only; mark the others stale with distance -1.
+
+    Returns (labels changed, rows marked stale).
+    """
+    changes = stale = 0
+    for g in range(start, stop, _GROUP_ROWS):
+        h = min(g + _GROUP_ROWS, stop)
+        own, dist = labels[g:h], dists[g:h]
+        lost = moved_mask[own]
+        dist[lost] = -1.0
+        stale += int(np.count_nonzero(lost))
+        rows = np.flatnonzero(~lost)
+        if len(rows) == 0:
+            continue
+        best = np.empty(len(rows), dtype=np.intp)
+        best_dist = np.empty(len(rows))
+        _scan(codes[g:h][rows], columns, scratch, best, best_dist)
+        best = moved[best]
+        kept, kept_dist = own[rows], dist[rows]
+        wins = (best_dist < kept_dist) | ((best_dist == kept_dist) & (best < kept))
+        rows = rows[wins]
+        own[rows] = best[wins]
+        dist[rows] = best_dist[wins]
+        changes += len(rows)
+    return changes, stale
+
+
+def _rescan_stale(codes, columns, labels, dists, start, stop, scratch):
+    """Full scan of the rows of [start, stop) marked stale; returns the
+    number of labels that changed."""
+    changes = 0
+    for g in range(start, stop, _GROUP_ROWS):
+        h = min(g + _GROUP_ROWS, stop)
+        own, dist = labels[g:h], dists[g:h]
+        rows = np.flatnonzero(dist < 0)
+        if len(rows) == 0:
+            continue
+        best = np.empty(len(rows), dtype=np.uint32)
+        best_dist = np.empty(len(rows))
+        _scan(codes[g:h][rows], columns, scratch, best, best_dist)
+        changes += int(np.count_nonzero(best != own[rows]))
+        own[rows] = best
+        dist[rows] = best_dist
+    return changes
+
+
+def _reassign(codes, tables, centers, moved, labels, dists, run) -> tuple[int, int]:
+    """Update labels and dists in place after the centers in `moved` changed.
+
+    labels must hold the full scan's labels against the previous centers
+    and dists the squared distances to them. A row whose center kept its
+    code keeps its distance bit for bit, and so does every other unmoved
+    center j, which lost to the label before: d_j > d_a, or d_j == d_a with
+    j > a. Only a moved center can take such a row, which it does when
+    (d_j, j) < (d_a, a). A row whose center moved is rescanned against all
+    centers. The labels are then exactly the full scan's, ties included.
+
+    Returns (labels changed, rows rescanned).
+    """
+    if len(moved) == 0:
+        return 0, 0
+    moved_mask = np.zeros(len(centers), dtype=bool)
+    moved_mask[moved] = True
+    # The moved centers' columns and the full columns are never held at
+    # the same time: each pass builds its own and drops it.
+    columns = _center_columns(tables, centers[moved])
+    results = run(
+        partial(_challenge, codes, columns, moved, moved_mask, labels, dists)
+    )
+    del columns
+    changes = sum(r[0] for r in results)
+    stale = sum(r[1] for r in results)
+    if stale:
+        columns = _center_columns(tables, centers)
+        changes += sum(run(partial(_rescan_stale, codes, columns, labels, dists)))
+    return changes, stale
+
+
 def _assign_linear_scan(
     codes: np.ndarray,
     centers: np.ndarray,
@@ -165,92 +342,10 @@ def _assign_linear_scan(
     threads: int = 1,
 ) -> np.ndarray:
     """Exhaustive nearest-center scan through the lookup tables."""
-    n, m_count = codes.shape
-    # (L, K) table slice per subspace; assignment then only gathers rows.
-    restricted = [
-        np.ascontiguousarray(tables.tables[m][:, centers[:, m]])
-        for m in range(m_count)
-    ]
-    labels = np.empty(n, dtype=np.uint32)
-    block = max(1, _BLOCK_ELEMENTS // len(centers))
-
-    def scan(start: int, stop: int) -> None:
-        for a in range(start, stop, block):
-            b = min(a + block, stop)
-            acc = restricted[0][codes[a:b, 0]]
-            for m in range(1, m_count):
-                acc += restricted[m][codes[a:b, m]]
-            labels[a:b] = np.argmin(acc, axis=1)
-
-    # A row's label depends on that row alone, so any split of [0, N)
-    # gives the same labels.
-    parts = min(threads, n)
-    if parts > 1:
-        edges = [n * t // parts for t in range(parts + 1)]
-        with ThreadPoolExecutor(max_workers=parts) as pool:
-            futures = [
-                pool.submit(scan, edges[t], edges[t + 1]) for t in range(parts)
-            ]
-            for future in futures:
-                future.result()
-    else:
-        scan(0, n)
+    labels = np.empty(len(codes), dtype=np.uint32)
+    with _range_runner(threads, len(codes), len(centers)) as run:
+        run(partial(_scan_range, codes, _center_columns(tables, centers), labels, None))
     return labels
-
-
-AssignStrategy = Callable[[np.ndarray, np.ndarray, DistanceTables, int], np.ndarray]
-
-_ASSIGNMENT_STRATEGIES: dict[str, AssignStrategy] = {
-    "linear_scan": _assign_linear_scan,
-}
-
-
-def register_assignment_strategy(name: str, strategy: AssignStrategy) -> None:
-    """Add an assignment strategy to the registry.
-
-    A strategy must return exactly the labels of the linear scan
-    (nearest center by squared symmetric distance, lowest index on ties);
-    only its running time may differ.
-    """
-    if not name:
-        raise ValueError("strategy name must be non-empty")
-    _ASSIGNMENT_STRATEGIES[name] = strategy
-
-
-def unregister_assignment_strategy(name: str) -> None:
-    if name == "linear_scan":
-        raise ValueError("the linear_scan strategy cannot be removed")
-    _ASSIGNMENT_STRATEGIES.pop(name, None)
-
-
-def registered_assignment_strategies() -> tuple[str, ...]:
-    return tuple(_ASSIGNMENT_STRATEGIES)
-
-
-def select_assignment_strategy(
-    codes: np.ndarray, tables: DistanceTables, k: int, seed: int = 0
-) -> str:
-    """Pick the fastest registered assignment strategy.
-
-    With a single registered strategy it is returned without any timing.
-    Otherwise every strategy is timed on 10 sampled query codes against
-    K sampled centers and the fastest name wins.
-    """
-    if len(_ASSIGNMENT_STRATEGIES) == 1:
-        return next(iter(_ASSIGNMENT_STRATEGIES))
-    codes = _validate_codes(codes, tables.num_subspaces, tables.num_codewords)
-    rng = np.random.default_rng(seed)
-    centers = init_centers(codes, min(k, len(codes)), seed)
-    queries = codes[rng.integers(0, len(codes), size=min(10, len(codes)))]
-    best_name = ""
-    best_time = math.inf
-    for name, strategy in _ASSIGNMENT_STRATEGIES.items():
-        start = time.perf_counter()
-        strategy(queries, centers, tables, 1)
-        elapsed = time.perf_counter() - start
-        if elapsed < best_time:
-            best_name, best_time = name, elapsed
-    return best_name
 
 
 def assign(
@@ -258,7 +353,6 @@ def assign(
     centers: np.ndarray,
     tables: DistanceTables,
     threads: int = 1,
-    strategy: str = "linear_scan",
 ) -> np.ndarray:
     """Assign every code to its nearest center.
 
@@ -268,7 +362,6 @@ def assign(
         tables: Distance tables matching the codebook of the codes.
         threads: Worker threads for the scan. Results are identical for
             every value.
-        strategy: Name of a registered assignment strategy.
 
     Returns:
         uint32 labels of shape (N,), ties broken toward the lowest
@@ -278,9 +371,7 @@ def assign(
     centers = _validate_codes(centers, tables.num_subspaces, tables.num_codewords)
     if len(centers) == 0:
         raise ValueError("centers must be non-empty")
-    if strategy not in _ASSIGNMENT_STRATEGIES:
-        raise ValueError(f"unknown assignment strategy {strategy!r}")
-    return _ASSIGNMENT_STRATEGIES[strategy](codes, centers, tables, threads)
+    return _assign_linear_scan(codes, centers, tables, threads)
 
 
 def pq_cost(
@@ -390,7 +481,6 @@ def fit(
     *,
     threads: int = 1,
     update: str = "sparse",
-    strategy: str | None = None,
     initial_centers: np.ndarray | None = None,
 ) -> ClusteringResult:
     """Cluster PQ codes with k-means in the compressed domain.
@@ -403,6 +493,12 @@ def fit(
     trace. Deterministic for fixed inputs and seed, independent of the
     thread count.
 
+    The first assignment scans every point against every center. Each
+    later one keeps the labels and the squared distances to the assigned
+    centers, rescans only the points whose center moved, and compares the
+    others against the moved centers alone; the labels are exactly those
+    of a full scan (see _reassign). The kept distances are the objective.
+
     Args:
         codes: uint8 codes, shape (N, M).
         tables: Distance tables of the codebook that produced the codes.
@@ -412,9 +508,6 @@ def fit(
         threads: Worker threads for the assignment step.
         update: "sparse" (histogram voting) or "naive" (candidate scan).
             Both produce identical centers.
-        strategy: Assignment strategy name; None picks the fastest
-            registered one (the linear scan when nothing else is
-            registered).
         initial_centers: Optional (K, M) codes overriding the sampled
             initialization.
 
@@ -438,54 +531,73 @@ def fit(
             raise ValueError(
                 f"initial_centers has {len(centers)} rows, expected k={k}"
             )
-    if strategy is None:
-        strategy = select_assignment_strategy(codes, tables, k, seed)
-
+    n = len(codes)
     update_all = _sparse_update_all if update == "sparse" else _naive_update_all
     trace: list[IterationStats] = []
-    labels = np.zeros(len(codes), dtype=np.uint32)
+    labels = np.empty(n, dtype=np.uint32)
+    dists = np.empty(n, dtype=np.float64)
+    assigned_to = None  # the centers that labels and dists were scanned against
     previous = None
     converged = False
-    for iteration in range(1, max_iterations + 1):
-        start = time.perf_counter()
-        labels = assign(codes, centers, tables, threads=threads, strategy=strategy)
-        assign_seconds = time.perf_counter() - start
+    with _range_runner(threads, n, k) as run:
+        for iteration in range(1, max_iterations + 1):
+            start = time.perf_counter()
+            if assigned_to is None:
+                columns = _center_columns(tables, centers)
+                run(partial(_scan_range, codes, columns, labels, dists))
+                del columns
+                moved_count, changes, rescanned = k, n, n
+            else:
+                moved = np.flatnonzero(np.any(centers != assigned_to, axis=1))
+                changes, rescanned = _reassign(
+                    codes, tables, centers, moved, labels, dists, run
+                )
+                moved_count = len(moved)
+            assigned_to = centers
+            assign_seconds = time.perf_counter() - start
+            churn = dict(
+                label_changes=changes,
+                moved_centers=moved_count,
+                rescanned_points=rescanned,
+            )
 
-        sd_sq = paired_distance_sq(tables, codes, centers[labels])
-        objective = float(np.mean(np.sqrt(sd_sq)))
-        objective_sq = float(np.mean(sd_sq))
-        if previous is not None and objective == previous:
+            objective = float(np.mean(np.sqrt(dists)))
+            objective_sq = float(np.mean(dists))
+            if previous is not None and objective == previous:
+                trace.append(
+                    IterationStats(
+                        iteration, objective, objective_sq, assign_seconds, 0.0, **churn
+                    )
+                )
+                converged = True
+                break
+
+            start = time.perf_counter()
+            counts = np.bincount(labels.astype(np.intp), minlength=k)
+            new_centers, mean_nnz = update_all(codes, labels, counts, tables)
+            empty = np.flatnonzero(counts == 0)
+            if len(empty):
+                own = dists.copy()
+                for ki in empty:
+                    far = int(np.argmax(own))
+                    new_centers[ki] = codes[far]
+                    own[far] = -np.inf
+            update_seconds = time.perf_counter() - start
+
             trace.append(
-                IterationStats(iteration, objective, objective_sq, assign_seconds, 0.0)
+                IterationStats(
+                    iteration,
+                    objective,
+                    objective_sq,
+                    assign_seconds,
+                    update_seconds,
+                    repaired_clusters=len(empty),
+                    mean_histogram_nnz=None if math.isnan(mean_nnz) else mean_nnz,
+                    **churn,
+                )
             )
-            converged = True
-            break
-
-        start = time.perf_counter()
-        counts = np.bincount(labels.astype(np.intp), minlength=k)
-        new_centers, mean_nnz = update_all(codes, labels, counts, tables)
-        empty = np.flatnonzero(counts == 0)
-        if len(empty):
-            own = sd_sq.copy()
-            for ki in empty:
-                far = int(np.argmax(own))
-                new_centers[ki] = codes[far]
-                own[far] = -np.inf
-        update_seconds = time.perf_counter() - start
-
-        trace.append(
-            IterationStats(
-                iteration,
-                objective,
-                objective_sq,
-                assign_seconds,
-                update_seconds,
-                repaired_clusters=len(empty),
-                mean_histogram_nnz=None if math.isnan(mean_nnz) else mean_nnz,
-            )
-        )
-        centers = new_centers
-        previous = objective
+            centers = new_centers
+            previous = objective
     return ClusteringResult(centers, labels, trace, len(trace), converged)
 
 

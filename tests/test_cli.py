@@ -119,6 +119,39 @@ class TestPipeline:
         assert [int(r[0]) for r in rows[1:]] == list(range(1, len(rows)))
         assert float(rows[1][1]) == pytest.approx(doc["trace"][0]["objective"])
 
+    def test_result_json_reports_churn(self, pipeline, tmp_path):
+        out = tmp_path / "run"
+        assert run_cluster(pipeline, out) == 0
+        trace = io.load_result_document(out / "result.json")["trace"]
+        first = trace[0]
+        assert (first["label_changes"], first["moved_centers"], first["rescanned_points"]) == (
+            2000, 8, 2000,
+        )
+        for row in trace[1:]:
+            assert 0 <= row["moved_centers"] <= 8
+            assert 0 <= row["label_changes"] <= 2000
+            assert 0 <= row["rescanned_points"] <= 2000
+            if row["moved_centers"] == 0:
+                assert row["label_changes"] == row["rescanned_points"] == 0
+
+    def test_failed_write_keeps_previous_artifacts(self, pipeline, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        assert run_cluster(pipeline, out) == 0
+        names = ["labels.bin", "centers.pqkc", "trace.csv", "result.json"]
+        before = {name: (out / name).read_bytes() for name in names}
+
+        write_codes = io.write_codes
+
+        def fail_partway(path, codes, num_codewords):
+            write_codes(path, codes[: len(codes) // 2], num_codewords)
+            raise OSError(f"{path}: device full")
+
+        monkeypatch.setattr(io, "write_codes", fail_partway)
+        # Another seed, so a completed run would change every artifact.
+        assert run_cluster(pipeline, out, "--seed", "2") == 1
+        assert {name: (out / name).read_bytes() for name in names} == before
+        assert sorted(p.name for p in out.iterdir()) == sorted(names)
+
     def test_rerun_produces_identical_artifacts(self, pipeline, tmp_path):
         first = tmp_path / "first"
         second = tmp_path / "second"

@@ -1,6 +1,6 @@
 """Unit tests for k-means on PQ codes."""
 
-import time
+import sys
 from collections import Counter
 
 import numpy as np
@@ -16,10 +16,6 @@ from pqclust import (
     init_centers,
     pq_cost,
     pq_cost_sq,
-    register_assignment_strategy,
-    registered_assignment_strategies,
-    select_assignment_strategy,
-    unregister_assignment_strategy,
     update_center_naive,
     update_center_sparse,
 )
@@ -182,57 +178,8 @@ class TestAssignment:
         codes = np.zeros((4, 2), dtype=np.uint8)
         with pytest.raises(ValueError, match="non-empty"):
             assign(codes, np.empty((0, 2), dtype=np.uint8), tables)
-        with pytest.raises(ValueError, match="unknown assignment strategy"):
-            assign(codes, codes[:1], tables, strategy="nope")
         with pytest.raises(ValueError, match="shape"):
             assign(np.zeros((4, 3), dtype=np.uint8), codes[:1], tables)
-
-
-class TestStrategyRegistry:
-    def test_linear_scan_is_registered_and_protected(self):
-        assert "linear_scan" in registered_assignment_strategies()
-        with pytest.raises(ValueError, match="cannot be removed"):
-            unregister_assignment_strategy("linear_scan")
-
-    def test_register_dispatch_and_selection(self):
-        calls = []
-
-        def tracing(codes, centers, tables, threads):
-            calls.append(len(codes))
-            return _assign_linear_scan(codes, centers, tables, threads)
-
-        def sleepy(codes, centers, tables, threads):
-            time.sleep(0.01)
-            return _assign_linear_scan(codes, centers, tables, threads)
-
-        tables = random_tables(2, 16, seed=12)
-        rng = np.random.default_rng(13)
-        codes = rng.integers(0, 16, size=(400, 2), dtype=np.uint8)
-        centers = codes[:6].copy()
-        try:
-            register_assignment_strategy("tracing", tracing)
-            got = assign(codes, centers, tables, strategy="tracing")
-            assert calls == [400]
-            assert np.array_equal(got, assign(codes, centers, tables))
-
-            # The bake-off times every candidate and keeps the fastest; the
-            # sleeping strategy can never win it.
-            register_assignment_strategy("sleepy", sleepy)
-            assert select_assignment_strategy(codes, tables, 6, seed=1) != "sleepy"
-        finally:
-            unregister_assignment_strategy("tracing")
-            unregister_assignment_strategy("sleepy")
-        assert "tracing" not in registered_assignment_strategies()
-
-    def test_selection_with_single_strategy_skips_timing(self):
-        assert registered_assignment_strategies() == ("linear_scan",)
-        # No codes are touched on the singleton path.
-        name = select_assignment_strategy(np.empty((0, 2), dtype=np.uint8), random_tables(2, 4), 3)
-        assert name == "linear_scan"
-
-    def test_register_rejects_empty_name(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            register_assignment_strategy("", _assign_linear_scan)
 
 
 class TestCosts:
@@ -322,11 +269,23 @@ class TestFit:
         tables = random_tables(2, 32, seed=34)
         codes = rng.integers(0, 32, size=(20000, 2), dtype=np.uint8)
         base = fit(codes, tables, 10, seed=4, threads=1)
-        for threads in (1, 4):
-            again = fit(codes, tables, 10, seed=4, threads=threads)
-            assert base.labels.tobytes() == again.labels.tobytes()
-            assert base.centers.tobytes() == again.centers.tobytes()
-            assert [s.objective for s in base.trace] == [s.objective for s in again.trace]
+        churn = [(s.label_changes, s.moved_centers, s.rescanned_points) for s in base.trace]
+        # Switching threads every microsecond makes a lost update between
+        # the workers' ranges show up as a label or a churn count.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for threads in (1, 4, 8):
+                again = fit(codes, tables, 10, seed=4, threads=threads)
+                assert base.labels.tobytes() == again.labels.tobytes()
+                assert base.centers.tobytes() == again.centers.tobytes()
+                assert [s.objective for s in base.trace] == [s.objective for s in again.trace]
+                assert churn == [
+                    (s.label_changes, s.moved_centers, s.rescanned_points)
+                    for s in again.trace
+                ]
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_empty_cluster_is_reseeded_on_farthest_code(self):
         tables = lattice_tables(1, 6)
@@ -337,6 +296,73 @@ class TestFit:
         assert result.converged
         assert sorted(set(result.labels.tolist())) == [0, 1]
         assert np.array_equal(result.labels, [0, 0, 1, 1])
+
+    def test_churn_counts_on_hand_checked_moves(self):
+        # Points on a line, centers at 3 and 10. Iteration 1 splits
+        # {1, 3, 3, 6} | {7, 9, 9}; the update keeps center 0 at 3 and
+        # moves center 1 to 8. Iteration 2 rescans the three points of
+        # center 1 and hands point 6 (9 from 3, 4 from 8) to it; center 0
+        # then moves to 2. Iteration 3 rescans {1, 3, 3}, nothing changes,
+        # and no center moves, so iteration 4 repeats the objective.
+        tables = lattice_tables(1, 16)
+        codes = np.array([1, 3, 3, 6, 7, 9, 9], dtype=np.uint8).reshape(-1, 1)
+        initial = np.array([[3], [10]], dtype=np.uint8)
+        result = fit(codes, tables, 2, initial_centers=initial)
+        churn = [
+            (s.label_changes, s.moved_centers, s.rescanned_points) for s in result.trace
+        ]
+        assert churn == [(7, 2, 7), (1, 1, 3), (0, 1, 3), (0, 0, 0)]
+        assert result.converged
+        assert np.array_equal(result.labels, [0, 0, 0, 1, 1, 1, 1])
+        assert np.array_equal(result.centers, [[2], [8]])
+
+    @pytest.mark.parametrize("threads", [1, 2, 8])
+    @pytest.mark.parametrize(
+        "case", ["duplicate_centers", "repairs", "no_moves", "random"]
+    )
+    def test_in_loop_labels_match_a_full_assignment(self, case, threads):
+        rng = np.random.default_rng(40)
+        initial = None
+        if case == "duplicate_centers":
+            # Exact ties between duplicated centers on integer tables.
+            tables = lattice_tables(3, 8)
+            codes = rng.integers(0, 8, size=(3000, 3), dtype=np.uint8)
+            initial = codes[:20].copy()
+            initial[10:] = initial[:10]
+            k = 20
+        elif case == "repairs":
+            # K close to N over few distinct codes leaves clusters empty.
+            tables = lattice_tables(3, 8)
+            codes = np.repeat(rng.integers(0, 8, size=(30, 3), dtype=np.uint8), 3, axis=0)
+            k = 80
+        elif case == "no_moves":
+            tables = lattice_tables(1, 200)
+            codes = np.array([0, 1, 2, 99, 100, 101, 197, 198, 199], dtype=np.uint8)
+            codes = codes.reshape(-1, 1)
+            initial = np.array([[1], [100], [198]], dtype=np.uint8)
+            k = 3
+        else:
+            tables = random_tables(4, 32, seed=41)
+            codes = rng.integers(0, 32, size=(5000, 4), dtype=np.uint8)
+            k = 40
+        kwargs = dict(seed=3, threads=threads, initial_centers=initial)
+        full = fit(codes, tables, k, **kwargs)
+        moved = [s.moved_centers for s in full.trace]
+        if case == "repairs":
+            assert sum(s.repaired_clusters for s in full.trace) > 0
+        elif case == "no_moves":
+            assert moved == [3, 0]
+        else:
+            assert any(0 < m < k for m in moved)
+
+        used = init_centers(codes, k, 3) if initial is None else initial
+        for i in range(1, full.iterations_run + 1):
+            capped = fit(codes, tables, k, max_iterations=i, **kwargs)
+            assert capped.labels.tobytes() == assign(codes, used, tables).tobytes()
+            stats = capped.trace[-1]
+            assert stats.objective_sq == pq_cost_sq(codes, used, capped.labels, tables)
+            assert stats.objective == pq_cost(codes, used, capped.labels, tables)
+            used = capped.centers
 
     def test_validation(self):
         tables = lattice_tables(1, 4)
