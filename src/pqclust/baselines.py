@@ -18,21 +18,28 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .clustering import ClusteringResult, IterationStats
+from .clustering import ClusteringResult, IterationStats, _lloyd
+from .pq import DistanceTables, _validate_codes
 
 # Target element count per assignment chunk, bounds scratch memory.
 _CHUNK_BUDGET = 1 << 22
 
 _POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
+_BYTES = np.arange(256, dtype=np.uint8)
+
+# Row v holds the bits of byte v, most significant first, as in packbits.
+_BYTE_BITS = np.unpackbits(_BYTES[:, None], axis=1)
+
 
 def cluster_means(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     """Per-cluster float64 means; rows of empty clusters are zero."""
     points = np.asarray(points, dtype=np.float64)
-    counts = np.bincount(labels.astype(np.intp), minlength=k).astype(np.float64)
+    labels = labels.astype(np.intp)
+    counts = np.bincount(labels, minlength=k).astype(np.float64)
     sums = np.stack(
         [
-            np.bincount(labels.astype(np.intp), weights=points[:, d], minlength=k)
+            np.bincount(labels, weights=points[:, d], minlength=k)
             for d in range(points.shape[1])
         ],
         axis=1,
@@ -275,6 +282,31 @@ def hamming_to_centers(codes: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return _POPCOUNT[xor].sum(axis=2, dtype=np.int64)
 
 
+def _majority_update_all(codes, labels, counts, tables):
+    """Per-bit majority centers of every cluster, as majority_center gives.
+
+    Each byte column is tallied into one (K, 256) histogram of byte values
+    per cluster, which times the byte-to-bits matrix gives each cluster's
+    count of set bits. Empty clusters get zero codes, for the caller to
+    repair. The tables are unused.
+    """
+    joint = labels.astype(np.intp) * 256
+    ones = np.concatenate(
+        [
+            np.bincount(joint + column, minlength=len(counts) * 256).reshape(-1, 256)
+            @ _BYTE_BITS
+            for column in codes.T
+        ],
+        axis=1,
+    )
+    return np.packbits(2 * ones > counts[:, None], axis=1), np.nan
+
+
+def _bkmeans_objectives(dists: np.ndarray) -> tuple[float, float]:
+    """Mean Hamming distance and mean squared Hamming distance."""
+    return float(np.mean(dists)), float(np.mean(np.square(dists)))
+
+
 def bkmeans_fit(
     codes: np.ndarray,
     k: int,
@@ -291,8 +323,12 @@ def bkmeans_fit(
     empty-cluster repair match kmeans_fit. The trace objective is the
     mean Hamming distance to the assigned center.
 
+    B-bit codes are PQ codes of B/8 byte subspaces whose table is the
+    byte Hamming distance, so the run shares fit's loop, table scan and
+    exact incremental assignment; the update votes from per-byte histograms.
+
     Args:
-        codes: Packed uint8 codes of shape (N, B/8).
+        codes: Packed codes of shape (N, B/8), integers in [0, 255].
         k: Number of clusters, 1 <= k <= N.
         max_iterations: Iteration cap.
         seed: Seed for center initialization.
@@ -303,11 +339,11 @@ def bkmeans_fit(
     Returns:
         ClusteringResult with packed uint8 centers of shape (K, B/8).
     """
-    packed = np.asarray(codes, dtype=np.uint8)
+    packed = np.asarray(codes)
     if packed.ndim != 2 or packed.shape[1] == 0:
         raise ValueError(f"codes must have shape (N, B/8), got {packed.shape}")
     n, width = packed.shape
-    bits = 8 * width
+    packed = _validate_codes(packed, width, 256).astype(np.uint8, copy=False)
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     if max_iterations < 1:
@@ -316,80 +352,26 @@ def bkmeans_fit(
         rng = np.random.default_rng(seed)
         centers = packed[rng.choice(n, size=k, replace=False)].copy()
     else:
-        centers = np.asarray(initial_centers, dtype=np.uint8).copy()
+        centers = np.asarray(initial_centers)
         if centers.shape != (k, width):
             raise ValueError(
                 f"initial_centers must have shape ({k}, {width}), got {centers.shape}"
             )
-
-    def assign_chunked(cents: np.ndarray) -> np.ndarray:
-        labels = np.empty(n, dtype=np.uint32)
-
-        def work(bounds: tuple[int, int]) -> None:
-            start, stop = bounds
-            labels[start:stop] = np.argmin(
-                hamming_to_centers(packed[start:stop], cents), axis=1
-            )
-
-        bounds = _chunk_bounds(n, k)
-        if threads > 1 and len(bounds) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(work, bounds))
-        else:
-            for b in bounds:
-                work(b)
-        return labels
-
-    trace: list[IterationStats] = []
-    labels = np.zeros(n, dtype=np.uint32)
-    previous = None
-    converged = False
-    for iteration in range(1, max_iterations + 1):
-        start = time.perf_counter()
-        labels = assign_chunked(centers)
-        assign_seconds = time.perf_counter() - start
-
-        dist = _POPCOUNT[packed ^ centers[labels]].sum(axis=1, dtype=np.int64)
-        objective = float(np.mean(dist))
-        objective_sq = float(np.mean(dist.astype(np.float64) ** 2))
-        if previous is not None and objective == previous:
-            trace.append(
-                IterationStats(iteration, objective, objective_sq, assign_seconds, 0.0)
-            )
-            converged = True
-            break
-
-        start = time.perf_counter()
-        counts = np.bincount(labels.astype(np.intp), minlength=k)
-        new_centers = np.zeros((k, width), dtype=np.uint8)
-        order = np.argsort(labels, kind="stable")
-        stops = np.cumsum(counts)
-        starts = stops - counts
-        for ki in np.flatnonzero(counts > 0):
-            members = unpack_bits(packed[order[starts[ki] : stops[ki]]], bits)
-            new_centers[ki] = np.packbits(majority_center(members))
-        empty = np.flatnonzero(counts == 0)
-        if len(empty):
-            own = dist.astype(np.float64)
-            for ki in empty:
-                far = int(np.argmax(own))
-                new_centers[ki] = packed[far]
-                own[far] = -np.inf
-        update_seconds = time.perf_counter() - start
-
-        trace.append(
-            IterationStats(
-                iteration,
-                objective,
-                objective_sq,
-                assign_seconds,
-                update_seconds,
-                repaired_clusters=len(empty),
-            )
-        )
-        centers = new_centers
-        previous = objective
-    return ClusteringResult(centers, labels, trace, len(trace), converged)
+        centers = _validate_codes(centers, width, 256).astype(np.uint8)
+    # Every byte subspace has the table T[a, b] = popcount(a ^ b). Sums of
+    # these small integers are exact in float64, so the scan's distances and
+    # ties are hamming_to_centers'.
+    hamming = _POPCOUNT[np.bitwise_xor.outer(_BYTES, _BYTES)]
+    tables = DistanceTables(np.broadcast_to(hamming, (width, 256, 256)))
+    return _lloyd(
+        packed,
+        tables,
+        centers,
+        max_iterations,
+        threads,
+        _majority_update_all,
+        _bkmeans_objectives,
+    )
 
 
 def original_space_error(vectors: np.ndarray, labels: np.ndarray) -> float:

@@ -38,13 +38,14 @@ class IterationStats:
 
     The objective is the mean non-squared distance of every point to its
     assigned center, measured right after the assignment step. The
-    squared variant of the same quantity is kept alongside it.
+    squared variant of the same quantity is kept alongside it. For
+    bkmeans_fit the distance is the Hamming distance.
 
     label_changes counts the points whose label differs from the previous
     iteration's, moved_centers the centers whose code differs from the
     previous iteration's, and rescanned_points the points compared against
-    every center. The first iteration reports N, K and N. The baselines
-    leave the three at None.
+    every center. The first iteration reports N, K and N. fit and
+    bkmeans_fit fill all three; only kmeans_fit leaves them at None.
     """
 
     iteration: int
@@ -531,8 +532,25 @@ def fit(
             raise ValueError(
                 f"initial_centers has {len(centers)} rows, expected k={k}"
             )
-    n = len(codes)
     update_all = _sparse_update_all if update == "sparse" else _naive_update_all
+    return _lloyd(
+        codes, tables, centers, max_iterations, threads, update_all, _table_objectives
+    )
+
+
+def _table_objectives(dists: np.ndarray) -> tuple[float, float]:
+    """Mean distance and mean squared distance from squared table distances."""
+    return float(np.mean(np.sqrt(dists))), float(np.mean(dists))
+
+
+def _lloyd(codes, tables, centers, max_iterations, threads, update_all, objectives):
+    """The Lloyd loop of fit on validated codes whose centers are codes too.
+
+    objectives(dists) maps the kept per-point table sums to the trace's
+    (objective, objective_sq). update_all(codes, labels, counts, tables)
+    returns the new centers and the mean histogram support, NaN for none.
+    """
+    n, k = len(codes), len(centers)
     trace: list[IterationStats] = []
     labels = np.empty(n, dtype=np.uint32)
     dists = np.empty(n, dtype=np.float64)
@@ -561,8 +579,7 @@ def fit(
                 rescanned_points=rescanned,
             )
 
-            objective = float(np.mean(np.sqrt(dists)))
-            objective_sq = float(np.mean(dists))
+            objective, objective_sq = objectives(dists)
             if previous is not None and objective == previous:
                 trace.append(
                     IterationStats(

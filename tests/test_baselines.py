@@ -214,6 +214,105 @@ class TestBkmeans:
             bkmeans_fit(np.zeros((4, 0), dtype=np.uint8), 2)
         with pytest.raises(ValueError, match="initial_centers"):
             bkmeans_fit(packed, 2, initial_centers=np.zeros((2, 3), dtype=np.uint8))
+        # Out-of-range or fractional bytes used to wrap silently (300 -> 44).
+        range_error = r"\[0, 256\)"
+        for bad, message in ((300, range_error), (-1, range_error), (1.7, "integers")):
+            codes = packed.astype(type(bad))
+            codes[1, 0] = bad
+            with pytest.raises(ValueError, match=message):
+                bkmeans_fit(codes, 2)
+            with pytest.raises(ValueError, match=message):
+                bkmeans_fit(packed, 2, initial_centers=codes[:2])
+        with pytest.raises(ValueError, match="integers"):
+            bkmeans_fit(packed.astype(bool), 2)
+
+    @pytest.mark.parametrize("threads", [1, 2, 8])
+    @pytest.mark.parametrize(
+        "case", ["b8", "b32", "b64", "duplicates_k_near_n", "no_center_moves"]
+    )
+    def test_matches_the_unpacked_majority_lloyd_loop(self, case, threads):
+        rng = np.random.default_rng(20)
+        initial = None
+        if case == "b8":
+            packed, k = rng.integers(0, 256, size=(1500, 1), dtype=np.uint8), 20
+        elif case in ("b32", "b64"):
+            width = 4 if case == "b32" else 8
+            prototypes = rng.integers(0, 256, size=(12, width), dtype=np.uint8)
+            packed, k = _noisy_codes(rng, prototypes, 3000, 0.15), 16
+        elif case == "duplicates_k_near_n":
+            distinct = rng.integers(0, 256, size=(30, 4), dtype=np.uint8)
+            packed, k = np.repeat(distinct, 3, axis=0), 80
+        else:
+            # Each prototype already is its group's majority, so the first
+            # update moves no center.
+            initial = rng.integers(0, 256, size=(6, 4), dtype=np.uint8)
+            packed, k = _noisy_codes(rng, initial, 600, 0.05), 6
+        if initial is None:
+            initial = packed[rng.choice(len(packed), size=k, replace=False)]
+        got = bkmeans_fit(packed, k, 12, threads=threads, initial_centers=initial)
+        labels, centers, objectives, converged = _reference_bkmeans(packed, initial, 12)
+        assert got.labels.dtype == np.uint32
+        assert np.array_equal(got.labels, labels)
+        assert got.centers.tobytes() == centers.tobytes()
+        assert [(s.objective, s.objective_sq) for s in got.trace] == objectives
+        assert got.iterations_run == len(objectives)
+        assert got.converged == converged
+        if case == "duplicates_k_near_n":
+            assert sum(s.repaired_clusters for s in got.trace) > 0
+        if case == "no_center_moves":
+            assert got.trace[1].moved_centers == 0
+
+    def test_runs_without_the_public_fit_or_assign(self, monkeypatch):
+        # The benchmark's tracer wraps clustering.fit and clustering.assign
+        # and counts their time as pqkmeans time.
+        from pqclust import clustering
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("bkmeans_fit called a public clustering function")
+
+        monkeypatch.setattr(clustering, "fit", refuse)
+        monkeypatch.setattr(clustering, "assign", refuse)
+        rng = np.random.default_rng(21)
+        packed = rng.integers(0, 256, size=(500, 4), dtype=np.uint8)
+        result = bkmeans_fit(packed, 8, 5, seed=2, threads=2)
+        assert result.iterations_run >= 2
+
+
+def _noisy_codes(rng, prototypes, n, flip):
+    """n packed codes, each a random prototype with bits flipped at rate flip."""
+    picks = rng.integers(0, len(prototypes), size=n)
+    bits = unpack_bits(prototypes[picks], 8 * prototypes.shape[1])
+    return np.packbits(bits ^ (rng.random(bits.shape) < flip), axis=1)
+
+
+def _reference_bkmeans(packed, centers, max_iterations):
+    """Bk-means from the reference functions: the full Hamming matrix, argmin,
+    and one majority_center call per cluster, with the objective stop rule
+    and the farthest-point repair. Returns labels, centers, the trace's
+    (objective, objective_sq) pairs and the converged flag."""
+    n, width = packed.shape
+    k = len(centers)
+    objectives = []
+    previous = None
+    for _ in range(max_iterations):
+        distances = hamming_to_centers(packed, centers)
+        labels = np.argmin(distances, axis=1)
+        own = distances[np.arange(n), labels].astype(np.float64)
+        objective = float(np.mean(own))
+        objectives.append((objective, float(np.mean(own**2))))
+        if objective == previous:
+            return labels, centers, objectives, True
+        updated = np.zeros_like(centers)
+        counts = np.bincount(labels, minlength=k)
+        for ki in np.flatnonzero(counts):
+            members = unpack_bits(packed[labels == ki], 8 * width)
+            updated[ki] = np.packbits(majority_center(members))
+        for ki in np.flatnonzero(counts == 0):
+            far = int(np.argmax(own))
+            updated[ki] = packed[far]
+            own[far] = -np.inf
+        centers, previous = updated, objective
+    return labels, centers, objectives, False
 
 
 class TestMetrics:
