@@ -3,26 +3,26 @@
 Two baselines bracket the code-domain clusterer: plain Lloyd k-means on
 the original vectors (the accuracy ceiling) and k-means on short binary
 codes with Hamming assignment and per-bit majority-vote updates (the
-memory-comparable competitor). Both share the stop rule and the
-empty-cluster repair of the code-domain fit. Evaluation works on the
-original vectors: mean distance of every point to the mean of its
-assigned cluster, plus the Rand index against a reference labeling.
+memory-comparable competitor). All three run through the Lloyd driver of
+the code-domain fit, so they share its stop rule, empty-cluster repair
+and trace; each passes its own assignment step, update and objective.
+Evaluation works on the original vectors: mean distance of every point
+to the mean of its assigned cluster, plus the Rand index against a
+reference labeling.
 """
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .clustering import ClusteringResult, IterationStats, _lloyd
+from .clustering import _BLOCK_ELEMENTS, ClusteringResult, _lloyd, init_centers
+from .clustering import _squared_objectives, _table_assign
 from .pq import DistanceTables, _validate_codes
-
-# Target element count per assignment chunk, bounds scratch memory.
-_CHUNK_BUDGET = 1 << 22
 
 _POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
@@ -34,7 +34,7 @@ _BYTE_BITS = np.unpackbits(_BYTES[:, None], axis=1)
 
 def cluster_means(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     """Per-cluster float64 means; rows of empty clusters are zero."""
-    points = np.asarray(points, dtype=np.float64)
+    points = np.asarray(points)  # bincount casts one column at a time
     labels = labels.astype(np.intp)
     counts = np.bincount(labels, minlength=k).astype(np.float64)
     sums = np.stack(
@@ -47,15 +47,40 @@ def cluster_means(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     return np.divide(sums, counts[:, None], out=np.zeros_like(sums), where=counts[:, None] > 0)
 
 
-def _chunk_bounds(n: int, k: int) -> list[tuple[int, int]]:
-    # Depends on N and K only, never on the thread count, so chunked
-    # results are identical for any worker configuration.
-    chunk = max(1, min(8192, _CHUNK_BUDGET // max(k, 1)))
-    return [(s, min(s + chunk, n)) for s in range(0, n, chunk)]
-
-
 def _assigned_sq_distances(points: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Squared distance of each row to its center in float64; callers pass
+    blocks of rows, since the difference is a rows × D temporary."""
     return np.sum((points - centers[labels]) ** 2, axis=1)
+
+
+def _nearest_center_range(points, centers, labels, dists, start, stop, scratch) -> int:
+    """Nearest center of the rows of [start, stop) by cdist, lowest index on
+    ties, one cache block of the runner's scratch at a time. Writes labels
+    and the squared distances as _assigned_sq_distances sums them; returns
+    the number of labels that changed."""
+    k = len(centers)
+    block = max(1, _BLOCK_ELEMENTS // k)
+    changes = 0
+    for a in range(start, stop, block):
+        b = min(a + block, stop)
+        sq = scratch[0][: (b - a) * k].reshape(b - a, k)
+        cdist(points[a:b], centers, "sqeuclidean", out=sq)
+        best = sq.argmin(axis=1)
+        changes += int(np.count_nonzero(best != labels[a:b]))
+        labels[a:b] = best
+        dists[a:b] = _assigned_sq_distances(points[a:b], centers, best)
+    return changes
+
+
+def _kmeans_assign(points, centers, moved, labels, dists, run) -> tuple[int, int]:
+    """Assignment step of _lloyd on raw vectors: every point against every
+    center."""
+    changes = sum(run(partial(_nearest_center_range, points, centers, labels, dists)))
+    return (len(points) if moved is None else changes), len(points)
+
+
+def _means_update_all(points, labels, counts):
+    return cluster_means(points, labels, len(counts)), math.nan
 
 
 def kmeans_fit(
@@ -77,30 +102,35 @@ def kmeans_fit(
     center. Deterministic for fixed inputs and seed, independent of the
     thread count.
 
+    Runs on fit's Lloyd driver. Each assignment scans a cache block of
+    rows at a time and keeps every point's squared distance to its center,
+    which is the objective and picks the repairs: no N × D array is built.
+
     Args:
-        vectors: Data of shape (N, D), stored as float32.
+        vectors: Data of shape (N, D), stored as float32. Must be finite.
         k: Number of clusters, 1 <= k <= N.
         max_iterations: Iteration cap.
         seed: Seed for center initialization.
         threads: Worker threads for the assignment step.
-        initial_centers: Optional (K, D) override of the sampled
+        initial_centers: Optional finite (K, D) override of the sampled
             initialization.
 
     Returns:
         ClusteringResult with float64 centers of shape (K, D).
     """
-    data = np.asarray(vectors, dtype=np.float32)
-    if data.ndim != 2:
-        raise ValueError(f"vectors must be 2-d, got shape {data.shape}")
-    n = len(data)
+    points = np.asarray(vectors, dtype=np.float32)
+    if points.ndim != 2:
+        raise ValueError(f"vectors must be 2-d, got shape {points.shape}")
+    n = len(points)
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be positive, got {max_iterations}")
-    points = data.astype(np.float64)
+    # A float64 sum of float32 values is finite exactly when they all are.
+    if not np.isfinite(points.sum(dtype=np.float64)):
+        raise ValueError("vectors must be finite, got NaN or infinity")
     if initial_centers is None:
-        rng = np.random.default_rng(seed)
-        centers = points[rng.choice(n, size=k, replace=False)].copy()
+        centers = init_centers(points, k, seed).astype(np.float64)
     else:
         centers = np.asarray(initial_centers, dtype=np.float64).copy()
         if centers.shape != (k, points.shape[1]):
@@ -108,69 +138,13 @@ def kmeans_fit(
                 f"initial_centers must have shape ({k}, {points.shape[1]}), "
                 f"got {centers.shape}"
             )
-
-    def assign_chunked(cents: np.ndarray) -> np.ndarray:
-        labels = np.empty(n, dtype=np.uint32)
-
-        def work(bounds: tuple[int, int]) -> None:
-            start, stop = bounds
-            labels[start:stop] = np.argmin(
-                cdist(points[start:stop], cents, "sqeuclidean"), axis=1
-            )
-
-        bounds = _chunk_bounds(n, k)
-        if threads > 1 and len(bounds) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(work, bounds))
-        else:
-            for b in bounds:
-                work(b)
-        return labels
-
-    trace: list[IterationStats] = []
-    labels = np.zeros(n, dtype=np.uint32)
-    previous = None
-    converged = False
-    for iteration in range(1, max_iterations + 1):
-        start = time.perf_counter()
-        labels = assign_chunked(centers)
-        assign_seconds = time.perf_counter() - start
-
-        sq = _assigned_sq_distances(points, centers, labels)
-        objective = float(np.mean(np.sqrt(sq)))
-        objective_sq = float(np.mean(sq))
-        if previous is not None and objective == previous:
-            trace.append(
-                IterationStats(iteration, objective, objective_sq, assign_seconds, 0.0)
-            )
-            converged = True
-            break
-
-        start = time.perf_counter()
-        counts = np.bincount(labels.astype(np.intp), minlength=k)
-        new_centers = cluster_means(points, labels, k)
-        empty = np.flatnonzero(counts == 0)
-        if len(empty):
-            own = sq.copy()
-            for ki in empty:
-                far = int(np.argmax(own))
-                new_centers[ki] = points[far]
-                own[far] = -np.inf
-        update_seconds = time.perf_counter() - start
-
-        trace.append(
-            IterationStats(
-                iteration,
-                objective,
-                objective_sq,
-                assign_seconds,
-                update_seconds,
-                repaired_clusters=len(empty),
-            )
-        )
-        centers = new_centers
-        previous = objective
-    return ClusteringResult(centers, labels, trace, len(trace), converged)
+        if not np.isfinite(centers).all():
+            raise ValueError("initial_centers must be finite, got NaN or infinity")
+    # float32 points enter every float64 operation exactly: no float64 copy.
+    return _lloyd(
+        points, centers, max_iterations, threads, partial(_kmeans_assign, points),
+        _means_update_all, _squared_objectives,
+    )
 
 
 @dataclass(frozen=True)
@@ -282,13 +256,13 @@ def hamming_to_centers(codes: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return _POPCOUNT[xor].sum(axis=2, dtype=np.int64)
 
 
-def _majority_update_all(codes, labels, counts, tables):
+def _majority_update_all(codes, labels, counts):
     """Per-bit majority centers of every cluster, as majority_center gives.
 
     Each byte column is tallied into one (K, 256) histogram of byte values
     per cluster, which times the byte-to-bits matrix gives each cluster's
     count of set bits. Empty clusters get zero codes, for the caller to
-    repair. The tables are unused.
+    repair.
     """
     joint = labels.astype(np.intp) * 256
     ones = np.concatenate(
@@ -349,8 +323,7 @@ def bkmeans_fit(
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be positive, got {max_iterations}")
     if initial_centers is None:
-        rng = np.random.default_rng(seed)
-        centers = packed[rng.choice(n, size=k, replace=False)].copy()
+        centers = init_centers(packed, k, seed)
     else:
         centers = np.asarray(initial_centers)
         if centers.shape != (k, width):
@@ -364,13 +337,8 @@ def bkmeans_fit(
     hamming = _POPCOUNT[np.bitwise_xor.outer(_BYTES, _BYTES)]
     tables = DistanceTables(np.broadcast_to(hamming, (width, 256, 256)))
     return _lloyd(
-        packed,
-        tables,
-        centers,
-        max_iterations,
-        threads,
-        _majority_update_all,
-        _bkmeans_objectives,
+        packed, centers, max_iterations, threads, partial(_table_assign, packed, tables),
+        _majority_update_all, _bkmeans_objectives,
     )
 
 
@@ -398,10 +366,13 @@ def original_space_error(vectors: np.ndarray, labels: np.ndarray) -> float:
         )
     if len(data) == 0:
         raise ValueError("cannot evaluate an empty dataset")
-    points = data.astype(np.float64)
-    k = int(labels.max()) + 1
-    means = cluster_means(points, labels, k)
-    sq = _assigned_sq_distances(points, means, labels)
+    means = cluster_means(data, labels, int(labels.max()) + 1)
+    block = max(1, _BLOCK_ELEMENTS // max(1, data.shape[1]))
+    sq = np.empty(len(data))
+    for a in range(0, len(data), block):
+        sq[a : a + block] = _assigned_sq_distances(
+            data[a : a + block], means, labels[a : a + block]
+        )
     return float(np.mean(np.sqrt(sq)))
 
 

@@ -44,8 +44,8 @@ class IterationStats:
     label_changes counts the points whose label differs from the previous
     iteration's, moved_centers the centers whose code differs from the
     previous iteration's, and rescanned_points the points compared against
-    every center. The first iteration reports N, K and N. fit and
-    bkmeans_fit fill all three; only kmeans_fit leaves them at None.
+    every center. The first iteration reports N, K and N. fit, kmeans_fit
+    and bkmeans_fit fill all three.
     """
 
     iteration: int
@@ -305,7 +305,8 @@ def _rescan_stale(codes, columns, labels, dists, start, stop, scratch):
 
 
 def _reassign(codes, tables, centers, moved, labels, dists, run) -> tuple[int, int]:
-    """Update labels and dists in place after the centers in `moved` changed.
+    """Update labels and dists in place after the centers in `moved`, a
+    non-empty index array, changed.
 
     labels must hold the full scan's labels against the previous centers
     and dists the squared distances to them. A row whose center kept its
@@ -317,8 +318,6 @@ def _reassign(codes, tables, centers, moved, labels, dists, run) -> tuple[int, i
 
     Returns (labels changed, rows rescanned).
     """
-    if len(moved) == 0:
-        return 0, 0
     moved_mask = np.zeros(len(centers), dtype=bool)
     moved_mask[moved] = True
     # The moved centers' columns and the full columns are never held at
@@ -334,6 +333,15 @@ def _reassign(codes, tables, centers, moved, labels, dists, run) -> tuple[int, i
         columns = _center_columns(tables, centers)
         changes += sum(run(partial(_rescan_stale, codes, columns, labels, dists)))
     return changes, stale
+
+
+def _table_assign(codes, tables, centers, moved, labels, dists, run) -> tuple[int, int]:
+    """Assignment step of _lloyd through the lookup tables: a full scan on
+    the first call, the exact incremental _reassign after it."""
+    if moved is not None:
+        return _reassign(codes, tables, centers, moved, labels, dists, run)
+    run(partial(_scan_range, codes, _center_columns(tables, centers), labels, dists))
+    return len(codes), len(codes)
 
 
 def _assign_linear_scan(
@@ -534,21 +542,26 @@ def fit(
             )
     update_all = _sparse_update_all if update == "sparse" else _naive_update_all
     return _lloyd(
-        codes, tables, centers, max_iterations, threads, update_all, _table_objectives
+        codes, centers, max_iterations, threads, partial(_table_assign, codes, tables),
+        partial(update_all, tables=tables), _squared_objectives,
     )
 
 
-def _table_objectives(dists: np.ndarray) -> tuple[float, float]:
-    """Mean distance and mean squared distance from squared table distances."""
+def _squared_objectives(dists: np.ndarray) -> tuple[float, float]:
+    """Mean distance and mean squared distance from squared distances."""
     return float(np.mean(np.sqrt(dists))), float(np.mean(dists))
 
 
-def _lloyd(codes, tables, centers, max_iterations, threads, update_all, objectives):
-    """The Lloyd loop of fit on validated codes whose centers are codes too.
+def _lloyd(codes, centers, max_iterations, threads, assign_step, update_all, objectives):
+    """The Lloyd loop of fit, bkmeans_fit and kmeans_fit on validated points.
 
-    objectives(dists) maps the kept per-point table sums to the trace's
-    (objective, objective_sq). update_all(codes, labels, counts, tables)
-    returns the new centers and the mean histogram support, NaN for none.
+    assign_step(centers, moved, labels, dists, run) writes each point's
+    nearest center and its distance to it, and returns (labels changed,
+    points rescanned). moved is None on the first call, which scans every
+    point, then the indices of the centers that changed; no change skips
+    the step. objectives(dists) gives the trace's (objective, objective_sq).
+    update_all(codes, labels, counts) returns the new centers and the mean
+    histogram support, NaN for none. A repaired cluster takes a row of codes.
     """
     n, k = len(codes), len(centers)
     trace: list[IterationStats] = []
@@ -560,22 +573,17 @@ def _lloyd(codes, tables, centers, max_iterations, threads, update_all, objectiv
     with _range_runner(threads, n, k) as run:
         for iteration in range(1, max_iterations + 1):
             start = time.perf_counter()
-            if assigned_to is None:
-                columns = _center_columns(tables, centers)
-                run(partial(_scan_range, codes, columns, labels, dists))
-                del columns
-                moved_count, changes, rescanned = k, n, n
-            else:
+            moved = None
+            if assigned_to is not None:
                 moved = np.flatnonzero(np.any(centers != assigned_to, axis=1))
-                changes, rescanned = _reassign(
-                    codes, tables, centers, moved, labels, dists, run
-                )
-                moved_count = len(moved)
+            changes = rescanned = 0
+            if moved is None or len(moved):
+                changes, rescanned = assign_step(centers, moved, labels, dists, run)
             assigned_to = centers
             assign_seconds = time.perf_counter() - start
             churn = dict(
                 label_changes=changes,
-                moved_centers=moved_count,
+                moved_centers=k if moved is None else len(moved),
                 rescanned_points=rescanned,
             )
 
@@ -591,7 +599,7 @@ def _lloyd(codes, tables, centers, max_iterations, threads, update_all, objectiv
 
             start = time.perf_counter()
             counts = np.bincount(labels.astype(np.intp), minlength=k)
-            new_centers, mean_nnz = update_all(codes, labels, counts, tables)
+            new_centers, mean_nnz = update_all(codes, labels, counts)
             empty = np.flatnonzero(counts == 0)
             if len(empty):
                 own = dists.copy()

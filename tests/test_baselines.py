@@ -1,9 +1,11 @@
 """Unit tests for the exact and binary k-means baselines and the metrics."""
 
 import itertools
+import sys
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from pqclust import (
     Binarizer,
@@ -18,6 +20,7 @@ from pqclust import (
     train_binarizer,
     unpack_bits,
 )
+from pqclust.clustering import _BLOCK_ELEMENTS
 from pqclust.io import generate_synthetic
 
 
@@ -84,6 +87,110 @@ class TestKmeans:
             kmeans_fit(points, 2, initial_centers=np.zeros((2, 3)))
         with pytest.raises(ValueError, match="max_iterations"):
             kmeans_fit(points, 2, max_iterations=0)
+        # Non-finite input used to put every point in cluster 0 and run to
+        # the iteration cap with a NaN objective.
+        vectors = np.random.default_rng(0).normal(size=(200, 3)).astype(np.float32)
+        vectors[17, 1] = np.nan
+        with pytest.raises(ValueError, match="vectors must be finite"):
+            kmeans_fit(vectors, 4)
+        vectors[17, 1] = -np.inf
+        with pytest.raises(ValueError, match="vectors must be finite"):
+            kmeans_fit(vectors, 4)
+        with pytest.raises(ValueError, match="initial_centers must be finite"):
+            kmeans_fit(points, 2, initial_centers=np.full((2, 2), np.inf))
+
+    def test_churn_counts_on_hand_checked_runs(self):
+        # The two runs of test_two_cluster_closed_form and
+        # test_empty_cluster_repair, as (label_changes, moved_centers,
+        # rescanned_points) per iteration. K-means rescans every point
+        # unless no center moved.
+        def churn(result):
+            return [(s.label_changes, s.moved_centers, s.rescanned_points) for s in result.trace]
+
+        points = np.array([[0, 0], [0, 2], [10, 0], [10, 2]], dtype=np.float32)
+        initial = np.array([[0.0, 1.0], [10.0, 1.0]])
+        # The first update reproduces the initial centers.
+        assert churn(kmeans_fit(points, 2, initial_centers=initial)) == [(4, 2, 4), (0, 0, 0)]
+
+        points = np.array([[0.0], [0.0], [9.0], [9.0]], dtype=np.float32)
+        result = kmeans_fit(points, 2, initial_centers=np.array([[0.0], [0.0]]))
+        # Iteration 1 ties every point to center 0, whose mean is 4.5; the
+        # empty center 1 is repaired onto the first 9. Iteration 2 moves
+        # both 9s to it, iteration 3 moves center 0 to 0 with no label
+        # change, and iteration 4 repeats the objective.
+        assert churn(result) == [(4, 2, 4), (2, 2, 4), (0, 1, 4), (0, 0, 0)]
+        assert result.converged
+        assert np.array_equal(result.centers, [[0.0], [9.0]])
+
+    @pytest.mark.parametrize("threads", [1, 2, 8])
+    @pytest.mark.parametrize("case", ["converged", "k_over_512", "duplicates_k_near_n"])
+    def test_matches_the_reference_lloyd_loop(self, case, threads):
+        rng = np.random.default_rng(22)
+        if case == "converged":
+            vectors, _ = generate_synthetic(800, 6, 5, 0.05, seed=3)
+            k = 5
+        elif case == "k_over_512":
+            vectors, k = rng.normal(size=(3000, 16)).astype(np.float32), 700
+        else:
+            distinct = rng.normal(size=(40, 12)).astype(np.float32)
+            vectors, k = np.repeat(distinct, 3, axis=0), 100
+        # kmeans_fit samples its initial centers as the reference does here.
+        initial = vectors[np.random.default_rng(4).choice(len(vectors), size=k, replace=False)]
+        # The K > 512 run stops at the cap, the others converge.
+        cap = 5 if case == "k_over_512" else 40
+        # Switching threads every microsecond makes a lost update between
+        # the workers' ranges show up as a label or a churn count.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = kmeans_fit(vectors, k, cap, seed=4, threads=threads)
+        finally:
+            sys.setswitchinterval(interval)
+        labels, centers, objectives, churn, converged = _reference_kmeans(vectors, initial, cap)
+        assert got.labels.dtype == np.uint32
+        assert np.array_equal(got.labels, labels)
+        assert got.centers.dtype == np.float64
+        assert got.centers.tobytes() == centers.tobytes()
+        assert [(s.objective, s.objective_sq) for s in got.trace] == objectives
+        assert [(s.label_changes, s.moved_centers, s.rescanned_points) for s in got.trace] == churn
+        assert got.iterations_run == len(objectives)
+        assert got.converged == converged == (case != "k_over_512")
+        if case == "duplicates_k_near_n":
+            assert sum(s.repaired_clusters for s in got.trace) > 0
+
+
+def _reference_kmeans(vectors, centers, max_iterations):
+    """Lloyd k-means as one loop over float64 copies: the full cdist matrix,
+    argmin, an N × D objective pass, cluster_means and the farthest-point
+    repair, with the objective stop rule. Returns labels, centers, the
+    trace's (objective, objective_sq) pairs and (label_changes,
+    moved_centers, rescanned_points) triples, and the converged flag."""
+    points = vectors.astype(np.float64)
+    centers = centers.astype(np.float64)
+    n, k = len(points), len(centers)
+    objectives, churn = [], []
+    labels = assigned_to = previous = None
+    for _ in range(max_iterations):
+        before = labels
+        labels = np.argmin(cdist(points, centers, "sqeuclidean"), axis=1)
+        sq = np.sum((points - centers[labels]) ** 2, axis=1)
+        objective = float(np.mean(np.sqrt(sq)))
+        objectives.append((objective, float(np.mean(sq))))
+        if before is None:
+            churn.append((n, k, n))
+        else:
+            moved = int(np.any(centers != assigned_to, axis=1).sum())
+            churn.append((int(np.sum(labels != before)), moved, n) if moved else (0, 0, 0))
+        assigned_to = centers
+        if objective == previous:
+            return labels, centers, objectives, churn, True
+        updated = cluster_means(points, labels, k)
+        for ki in np.flatnonzero(np.bincount(labels, minlength=k) == 0):
+            far = int(np.argmax(sq))
+            updated[ki] = points[far]
+            sq[far] = -np.inf
+        centers, previous = updated, objective
+    return labels, centers, objectives, churn, False
 
 
 class TestBinarizer:
@@ -327,6 +434,22 @@ class TestMetrics:
             [np.sqrt(np.sum((points[i] - means[int(labels[i])]) ** 2)) for i in range(40)]
         )
         assert got == pytest.approx(float(expected), rel=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 7, 300])
+    def test_original_space_error_is_exact_across_blocks(self, k):
+        # One block plus one row, so the last block holds a single row;
+        # K=300 leaves clusters empty.
+        dim = 8
+        n = _BLOCK_ELEMENTS // dim + 1
+        rng = np.random.default_rng(23)
+        vectors = (rng.normal(size=(n, dim)) * 100).astype(np.float32)
+        labels = rng.integers(0, k, size=n).astype(np.uint32)
+        points = vectors.astype(np.float64)
+        counts = np.bincount(labels, minlength=k)
+        sums = np.stack([np.bincount(labels, weights=column, minlength=k) for column in points.T], axis=1)
+        means = sums / np.maximum(counts, 1)[:, None]
+        expected = float(np.mean(np.sqrt(np.sum((points - means[labels]) ** 2, axis=1))))
+        assert original_space_error(vectors, labels) == expected
 
     def test_original_space_error_single_cluster(self):
         vectors = np.array([[0.0], [2.0]], dtype=np.float32)

@@ -119,9 +119,18 @@ class TestPipeline:
         assert [int(r[0]) for r in rows[1:]] == list(range(1, len(rows)))
         assert float(rows[1][1]) == pytest.approx(doc["trace"][0]["objective"])
 
-    def test_result_json_reports_churn(self, pipeline, tmp_path):
+    @pytest.mark.parametrize("method", ["pqkmeans", "kmeans", "bkmeans"])
+    def test_result_json_reports_churn(self, pipeline, tmp_path, method):
         out = tmp_path / "run"
-        assert run_cluster(pipeline, out) == 0
+        inputs = {
+            "pqkmeans": ["--codes", str(pipeline["codes"]), "--codebook", str(pipeline["book"])],
+            "kmeans": ["--data", str(pipeline["data"])],
+            "bkmeans": ["--data", str(pipeline["data"]), "--bits", "8"],
+        }[method]
+        assert cli.main([
+            "cluster", "--method", method, "--k", "8", *inputs,
+            "--out-dir", str(out), "--seed", "1",
+        ]) == 0
         trace = io.load_result_document(out / "result.json")["trace"]
         first = trace[0]
         assert (first["label_changes"], first["moved_centers"], first["rescanned_points"]) == (
@@ -133,6 +142,10 @@ class TestPipeline:
             assert 0 <= row["rescanned_points"] <= 2000
             if row["moved_centers"] == 0:
                 assert row["label_changes"] == row["rescanned_points"] == 0
+            elif method == "kmeans":
+                # K-means compares every point with every center.
+                assert row["rescanned_points"] == 2000
+        assert len(trace) > 1
 
     def test_failed_write_keeps_previous_artifacts(self, pipeline, tmp_path, monkeypatch):
         out = tmp_path / "run"
