@@ -3,9 +3,10 @@
 Two baselines bracket the code-domain clusterer: plain Lloyd k-means on
 the original vectors (the accuracy ceiling) and k-means on short binary
 codes with Hamming assignment and per-bit majority-vote updates (the
-memory-comparable competitor). All three run through the Lloyd driver of
-the code-domain fit, so they share its stop rule, empty-cluster repair
-and trace; each passes its own assignment step, update and objective.
+memory-comparable competitor). All three run through the one Lloyd
+driver in pqclust.lloyd, so they share its stop rule, empty-cluster
+repair and trace; each passes its own assignment step, update and
+objective.
 Evaluation works on the original vectors: mean distance of every point
 to the mean of its assigned cluster, plus the Rand index against a
 reference labeling.
@@ -13,16 +14,15 @@ reference labeling.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from .clustering import _BLOCK_ELEMENTS, ClusteringResult, _lloyd, init_centers
-from .clustering import _squared_objectives, _table_assign
-from .pq import DistanceTables, _validate_codes
+from .clustering import _table_assign, init_centers
+from .lloyd import _BLOCK_ELEMENTS, ClusteringResult, _assigned_sq_distances, _kmeans_assign
+from .lloyd import _lloyd, _means_update_all, _squared_objectives, cluster_means
+from .pq import DistanceTables, _check_finite, _validate_codes
 
 _POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
@@ -30,57 +30,6 @@ _BYTES = np.arange(256, dtype=np.uint8)
 
 # Row v holds the bits of byte v, most significant first, as in packbits.
 _BYTE_BITS = np.unpackbits(_BYTES[:, None], axis=1)
-
-
-def cluster_means(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    """Per-cluster float64 means; rows of empty clusters are zero."""
-    points = np.asarray(points)  # bincount casts one column at a time
-    labels = labels.astype(np.intp)
-    counts = np.bincount(labels, minlength=k).astype(np.float64)
-    sums = np.stack(
-        [
-            np.bincount(labels, weights=points[:, d], minlength=k)
-            for d in range(points.shape[1])
-        ],
-        axis=1,
-    )
-    return np.divide(sums, counts[:, None], out=np.zeros_like(sums), where=counts[:, None] > 0)
-
-
-def _assigned_sq_distances(points: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Squared distance of each row to its center in float64; callers pass
-    blocks of rows, since the difference is a rows × D temporary."""
-    return np.sum((points - centers[labels]) ** 2, axis=1)
-
-
-def _nearest_center_range(points, centers, labels, dists, start, stop, scratch) -> int:
-    """Nearest center of the rows of [start, stop) by cdist, lowest index on
-    ties, one cache block of the runner's scratch at a time. Writes labels
-    and the squared distances as _assigned_sq_distances sums them; returns
-    the number of labels that changed."""
-    k = len(centers)
-    block = max(1, _BLOCK_ELEMENTS // k)
-    changes = 0
-    for a in range(start, stop, block):
-        b = min(a + block, stop)
-        sq = scratch[0][: (b - a) * k].reshape(b - a, k)
-        cdist(points[a:b], centers, "sqeuclidean", out=sq)
-        best = sq.argmin(axis=1)
-        changes += int(np.count_nonzero(best != labels[a:b]))
-        labels[a:b] = best
-        dists[a:b] = _assigned_sq_distances(points[a:b], centers, best)
-    return changes
-
-
-def _kmeans_assign(points, centers, moved, labels, dists, run) -> tuple[int, int]:
-    """Assignment step of _lloyd on raw vectors: every point against every
-    center."""
-    changes = sum(run(partial(_nearest_center_range, points, centers, labels, dists)))
-    return (len(points) if moved is None else changes), len(points)
-
-
-def _means_update_all(points, labels, counts):
-    return cluster_means(points, labels, len(counts)), math.nan
 
 
 def kmeans_fit(
@@ -102,9 +51,11 @@ def kmeans_fit(
     center. Deterministic for fixed inputs and seed, independent of the
     thread count.
 
-    Runs on fit's Lloyd driver. Each assignment scans a cache block of
-    rows at a time and keeps every point's squared distance to its center,
-    which is the objective and picks the repairs: no N × D array is built.
+    Runs on the package's one Lloyd driver. Its assignment is the blocked
+    Euclidean scan that train_codebook and encode use too: a cache block
+    of rows at a time, keeping every point's squared distance to its
+    center, which is the objective and picks the repairs. No N × D array
+    is built.
 
     Args:
         vectors: Data of shape (N, D), stored as float32. Must be finite.
@@ -126,9 +77,7 @@ def kmeans_fit(
         raise ValueError(f"k must be in [1, {n}], got {k}")
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be positive, got {max_iterations}")
-    # A float64 sum of float32 values is finite exactly when they all are.
-    if not np.isfinite(points.sum(dtype=np.float64)):
-        raise ValueError("vectors must be finite, got NaN or infinity")
+    _check_finite(points, "vectors")
     if initial_centers is None:
         centers = init_centers(points, k, seed).astype(np.float64)
     else:

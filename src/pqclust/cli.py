@@ -120,12 +120,13 @@ def cmd_encode(args: argparse.Namespace) -> int:
     with io.CodesWriter(
         args.out, n, codebook.num_subspaces, codebook.num_codewords
     ) as writer:
-        for chunk in io.iter_fvecs(args.data, _ENCODE_CHUNK):
+        for i, chunk in enumerate(io.iter_fvecs(args.data, _ENCODE_CHUNK)):
             if chunk.shape[1] != codebook.dim:
                 raise ValueError(
                     f"{args.data}: vectors have dimension {chunk.shape[1]}, "
                     f"codebook expects {codebook.dim}"
                 )
+            pq._check_finite(chunk, f"{args.data}: vectors", i * _ENCODE_CHUNK)
             writer.write(pq.encode(codebook, chunk))
     print(f"encoded {n} vectors into {args.out}")
     return 0

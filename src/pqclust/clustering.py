@@ -11,76 +11,21 @@ O(L * N_k) of the naive candidate scan, while returning the same index.
 from __future__ import annotations
 
 import math
-import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
 
 import numpy as np
 
+# IterationStats is imported so that callers can still name it here.
+from .lloyd import _BLOCK_ELEMENTS, ClusteringResult, IterationStats, _lloyd
+from .lloyd import _range_runner, _squared_objectives
 from .pq import DistanceTables, _validate_codes, paired_distance_sq
-
-# Float64 elements per assignment block: 512 KiB of scratch stays in L2
-# across the M gathers of one block, where a larger block spills to memory.
-_BLOCK_ELEMENTS = 1 << 16
 
 # Rows per selection group of the incremental assignment: each group picks
 # the rows it must scan, then scans them in cache blocks. Selecting per
 # cache block instead costs more numpy calls than the lookups it saves.
 _GROUP_ROWS = 8192
-
-
-@dataclass
-class IterationStats:
-    """Per-iteration record of a clustering run.
-
-    The objective is the mean non-squared distance of every point to its
-    assigned center, measured right after the assignment step. The
-    squared variant of the same quantity is kept alongside it. For
-    bkmeans_fit the distance is the Hamming distance.
-
-    label_changes counts the points whose label differs from the previous
-    iteration's, moved_centers the centers whose code differs from the
-    previous iteration's, and rescanned_points the points compared against
-    every center. The first iteration reports N, K and N. fit, kmeans_fit
-    and bkmeans_fit fill all three.
-    """
-
-    iteration: int
-    objective: float
-    objective_sq: float
-    assign_seconds: float
-    update_seconds: float
-    repaired_clusters: int = 0
-    mean_histogram_nnz: float | None = None
-    label_changes: int | None = None
-    moved_centers: int | None = None
-    rescanned_points: int | None = None
-
-
-@dataclass
-class ClusteringResult:
-    """Output of a clustering run.
-
-    Attributes:
-        centers: Final centers, one row per cluster. PQ codes (uint8) for
-            code-domain clustering; baselines store their own center types.
-        labels: uint32 cluster index per point, computed against the
-            centers that preceded the last update. At convergence the two
-            coincide.
-        trace: One IterationStats per executed iteration.
-        iterations_run: len(trace).
-        converged: True when the objective repeated exactly between two
-            consecutive iterations before the iteration cap.
-    """
-
-    centers: np.ndarray
-    labels: np.ndarray
-    trace: list[IterationStats] = field(default_factory=list)
-    iterations_run: int = 0
-    converged: bool = False
 
 
 @dataclass(frozen=True)
@@ -213,36 +158,6 @@ def _scan(
         labels[a:b] = best
         if dists is not None:
             dists[a:b] = acc[np.arange(b - a), best]
-
-
-@contextmanager
-def _range_runner(threads: int, n: int, width: int):
-    """Yield run(task), which calls task(start, stop, scratch) per range.
-
-    [0, N) is split into min(threads, N) contiguous ranges, one per worker
-    thread. Each range owns a scratch pair for scans over up to `width`
-    columns, allocated once here rather than per scan. run returns the
-    tasks' results in range order. A row's label depends on that row
-    alone, so any split gives the same labels.
-    """
-    parts = max(1, min(threads, n))
-    edges = [n * t // parts for t in range(parts + 1)]
-    # A scan over w columns uses max(1, _BLOCK_ELEMENTS // w) * w elements.
-    size = max(_BLOCK_ELEMENTS, width)
-    scratch = [(np.empty(size), np.empty(size)) for _ in range(parts)]
-    if parts == 1:
-        yield lambda task: [task(0, n, scratch[0])]
-        return
-    with ThreadPoolExecutor(max_workers=parts) as pool:
-
-        def run(task):
-            futures = [
-                pool.submit(task, edges[t], edges[t + 1], scratch[t])
-                for t in range(parts)
-            ]
-            return [future.result() for future in futures]
-
-        yield run
 
 
 def _scan_range(codes, columns, labels, dists, start, stop, scratch) -> None:
@@ -545,85 +460,6 @@ def fit(
         codes, centers, max_iterations, threads, partial(_table_assign, codes, tables),
         partial(update_all, tables=tables), _squared_objectives,
     )
-
-
-def _squared_objectives(dists: np.ndarray) -> tuple[float, float]:
-    """Mean distance and mean squared distance from squared distances."""
-    return float(np.mean(np.sqrt(dists))), float(np.mean(dists))
-
-
-def _lloyd(codes, centers, max_iterations, threads, assign_step, update_all, objectives):
-    """The Lloyd loop of fit, bkmeans_fit and kmeans_fit on validated points.
-
-    assign_step(centers, moved, labels, dists, run) writes each point's
-    nearest center and its distance to it, and returns (labels changed,
-    points rescanned). moved is None on the first call, which scans every
-    point, then the indices of the centers that changed; no change skips
-    the step. objectives(dists) gives the trace's (objective, objective_sq).
-    update_all(codes, labels, counts) returns the new centers and the mean
-    histogram support, NaN for none. A repaired cluster takes a row of codes.
-    """
-    n, k = len(codes), len(centers)
-    trace: list[IterationStats] = []
-    labels = np.empty(n, dtype=np.uint32)
-    dists = np.empty(n, dtype=np.float64)
-    assigned_to = None  # the centers that labels and dists were scanned against
-    previous = None
-    converged = False
-    with _range_runner(threads, n, k) as run:
-        for iteration in range(1, max_iterations + 1):
-            start = time.perf_counter()
-            moved = None
-            if assigned_to is not None:
-                moved = np.flatnonzero(np.any(centers != assigned_to, axis=1))
-            changes = rescanned = 0
-            if moved is None or len(moved):
-                changes, rescanned = assign_step(centers, moved, labels, dists, run)
-            assigned_to = centers
-            assign_seconds = time.perf_counter() - start
-            churn = dict(
-                label_changes=changes,
-                moved_centers=k if moved is None else len(moved),
-                rescanned_points=rescanned,
-            )
-
-            objective, objective_sq = objectives(dists)
-            if previous is not None and objective == previous:
-                trace.append(
-                    IterationStats(
-                        iteration, objective, objective_sq, assign_seconds, 0.0, **churn
-                    )
-                )
-                converged = True
-                break
-
-            start = time.perf_counter()
-            counts = np.bincount(labels.astype(np.intp), minlength=k)
-            new_centers, mean_nnz = update_all(codes, labels, counts)
-            empty = np.flatnonzero(counts == 0)
-            if len(empty):
-                own = dists.copy()
-                for ki in empty:
-                    far = int(np.argmax(own))
-                    new_centers[ki] = codes[far]
-                    own[far] = -np.inf
-            update_seconds = time.perf_counter() - start
-
-            trace.append(
-                IterationStats(
-                    iteration,
-                    objective,
-                    objective_sq,
-                    assign_seconds,
-                    update_seconds,
-                    repaired_clusters=len(empty),
-                    mean_histogram_nnz=None if math.isnan(mean_nnz) else mean_nnz,
-                    **churn,
-                )
-            )
-            centers = new_centers
-            previous = objective
-    return ClusteringResult(centers, labels, trace, len(trace), converged)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ allocate proportional to the file size.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 from typing import Iterator
@@ -168,19 +169,21 @@ def write_codes(path, codes: np.ndarray, num_codewords: int) -> None:
 class CodesWriter:
     """Incremental PQKC writer for streaming encoders.
 
-    The header is written up front from the promised record count;
-    close() verifies that exactly that many records arrived.
+    The header is written up front from the promised record count, into
+    a temporary file beside the target. close() moves it into place only
+    once exactly that many records arrived; a failed write removes it.
     """
 
     def __init__(self, path, n: int, m: int, num_codewords: int) -> None:
         if m < 1 or not 2 <= num_codewords <= MAX_CODEWORDS:
             raise ValueError(f"invalid code geometry M={m}, L={num_codewords}")
         self._path = path
+        self._temp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
         self._n = n
         self._m = m
         self._l = num_codewords
         self._written = 0
-        self._fh = open(path, "wb")
+        self._fh = open(self._temp, "wb")
         self._fh.write(_CODE_HEADER.pack(b"PQKC", FORMAT_VERSION, n, m, num_codewords))
 
     def write(self, codes: np.ndarray) -> None:
@@ -196,10 +199,14 @@ class CodesWriter:
 
     def close(self) -> None:
         self._fh.close()
-        if self._written != self._n:
-            raise ValueError(
-                f"{self._path}: wrote {self._written} records, header promised {self._n}"
-            )
+        try:
+            if self._written != self._n:
+                raise ValueError(
+                    f"{self._path}: wrote {self._written} records, header promised {self._n}"
+                )
+            os.replace(self._temp, self._path)
+        finally:
+            self._temp.unlink(missing_ok=True)
 
     def __enter__(self) -> "CodesWriter":
         return self
@@ -209,6 +216,7 @@ class CodesWriter:
             self.close()
         else:
             self._fh.close()
+            self._temp.unlink(missing_ok=True)
 
 
 def read_codes_header(path) -> tuple[int, int, int]:

@@ -11,9 +11,13 @@ inter-codeword distances, without touching the original vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.spatial.distance import cdist
+
+from .lloyd import _kmeans_assign, _lloyd, _means_update_all, _nearest_center_range
+from .lloyd import _range_runner, _squared_objectives
 
 MAX_CODEWORDS = 256
 
@@ -111,45 +115,13 @@ def _validate_codes(codes: np.ndarray, num_subspaces: int, num_codewords: int) -
     return codes
 
 
-def _nearest(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Index of the nearest center per point, lowest index on ties."""
-    return np.argmin(cdist(points, centers, "sqeuclidean"), axis=1)
-
-
-def _cluster_sums(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    # One bincount per dimension keeps the accumulation order fixed.
-    return np.stack(
-        [np.bincount(labels, weights=points[:, d], minlength=k) for d in range(points.shape[1])],
-        axis=1,
-    )
-
-
-def _lloyd_subspace(
-    sub: np.ndarray, num_codewords: int, iterations: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Run Lloyd k-means on one subspace, float64 throughout.
-
-    Initial centers are sampled from the data without replacement. A
-    codeword left with no assigned vectors is re-seeded on the training
-    vector farthest from its current codeword (lowest index on ties).
-    """
-    points = sub.astype(np.float64)
-    n = len(points)
-    centers = points[rng.choice(n, size=num_codewords, replace=False)].copy()
-    for _ in range(iterations):
-        labels = _nearest(points, centers)
-        counts = np.bincount(labels, minlength=num_codewords)
-        sums = _cluster_sums(points, labels, num_codewords)
-        filled = counts > 0
-        centers[filled] = sums[filled] / counts[filled, None]
-        if not filled.all():
-            own = np.sum((points - centers[labels]) ** 2, axis=1)
-            for slot in np.flatnonzero(~filled):
-                far = int(np.argmax(own))
-                centers[slot] = points[far]
-                labels[far] = slot
-                own[far] = -np.inf
-    return centers
+def _check_finite(arr: np.ndarray, name: str, first_row: int = 0) -> None:
+    """Raise ValueError naming the first row of a 2-d float32 array that
+    holds NaN or infinity, rows counted from first_row."""
+    # A float64 sum of float32 values is finite exactly when they all are.
+    if not np.isfinite(arr.sum(dtype=np.float64)):
+        row = first_row + int(np.argmin(np.isfinite(arr).all(axis=1)))
+        raise ValueError(f"{name} must be finite, row {row} holds NaN or infinity")
 
 
 def train_codebook(
@@ -162,13 +134,19 @@ def train_codebook(
     """Train per-subspace codebooks with k-means.
 
     Each of the M subspaces is clustered independently with Lloyd's
-    algorithm for a fixed number of iterations, k = L, initial codewords
-    sampled from the training sub-vectors under the given seed. The
-    result is deterministic for fixed inputs and seed.
+    algorithm, k = L, in float64 on the package's Lloyd driver. Initial
+    codewords are sampled from the training sub-vectors under the given
+    seed, one shared generator drawing the M samples in subspace order.
+    A subspace runs `iterations` iterations, or stops early when its
+    objective (mean distance to the assigned codeword) repeats exactly.
+    A codeword left with no assigned vectors is re-seeded on the training
+    sub-vector farthest from the codeword it was assigned to before the
+    update, not from the updated mean (lowest index on ties). The result
+    is deterministic for fixed inputs and seed.
 
     Args:
-        train_vectors: Training vectors, shape (N, D). D must be divisible
-            by num_subspaces and N must be at least num_codewords.
+        train_vectors: Training vectors, shape (N, D), finite. D must be
+            divisible by num_subspaces and N must be at least num_codewords.
         num_subspaces: Number of subspaces M.
         num_codewords: Codewords per subspace L, between 2 and 256.
         iterations: Lloyd iterations per subspace.
@@ -193,12 +171,18 @@ def train_codebook(
         )
     if iterations < 1:
         raise ValueError(f"iterations must be positive, got {iterations}")
+    _check_finite(vectors, "training vectors")
     sub_dim = dim // num_subspaces
     rng = np.random.default_rng(seed)
     books = np.empty((num_subspaces, num_codewords, sub_dim), dtype=np.float32)
     for m in range(num_subspaces):
+        # float32 sub-vectors enter every float64 operation exactly.
         sub = vectors[:, m * sub_dim : (m + 1) * sub_dim]
-        books[m] = _lloyd_subspace(sub, num_codewords, iterations, rng).astype(np.float32)
+        centers = sub[rng.choice(n, size=num_codewords, replace=False)].astype(np.float64)
+        books[m] = _lloyd(
+            sub, centers, iterations, 1, partial(_kmeans_assign, sub),
+            _means_update_all, _squared_objectives,
+        ).centers
     return PQCodebook(books)
 
 
@@ -206,11 +190,13 @@ def encode(codebook: PQCodebook, vectors: np.ndarray) -> np.ndarray:
     """Quantize vectors to PQ codes.
 
     Every sub-vector maps to the index of its nearest codeword by squared
-    Euclidean distance, lowest index on ties.
+    Euclidean distance, lowest index on ties. The scan takes a cache
+    block of rows at a time: no N x L distance matrix is built.
 
     Args:
         codebook: Trained codebook.
-        vectors: One vector of shape (D,) or a batch of shape (N, D).
+        vectors: One vector of shape (D,) or a batch of shape (N, D),
+            finite.
 
     Returns:
         uint8 codes, shape (M,) for a single vector or (N, M) for a batch.
@@ -222,12 +208,14 @@ def encode(codebook: PQCodebook, vectors: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"vectors have dimension {arr.shape[1]}, codebook expects {codebook.dim}"
         )
+    _check_finite(arr, "vectors")
     sub_dim = codebook.subspace_dim
-    points = arr.astype(np.float64)
     codes = np.empty((len(arr), codebook.num_subspaces), dtype=np.uint8)
-    for m in range(codebook.num_subspaces):
-        sub = points[:, m * sub_dim : (m + 1) * sub_dim]
-        codes[:, m] = _nearest(sub, codebook.codewords[m].astype(np.float64))
+    with _range_runner(1, len(arr), codebook.num_codewords) as run:
+        for m in range(codebook.num_subspaces):
+            sub = arr[:, m * sub_dim : (m + 1) * sub_dim]
+            codewords = codebook.codewords[m].astype(np.float64)
+            run(partial(_nearest_center_range, sub, codewords, codes[:, m], None))
     return codes[0] if single else codes
 
 

@@ -368,6 +368,28 @@ class TestDiagnostics:
         assert "does not match" in err
         assert "other.pqcb" in err
 
+    def test_non_finite_vector_is_named_and_keeps_previous_codes(
+        self, pipeline, tmp_path, capsys
+    ):
+        # Record 70000 lies in the second encode chunk, after the first
+        # chunk's codes were written.
+        rng = np.random.default_rng(31)
+        vectors = rng.normal(size=(70_010, 8)).astype(np.float32)
+        vectors[70_000, 5] = np.nan
+        data = tmp_path / "nan.fvecs"
+        io.write_fvecs(data, vectors)
+        out = tmp_path / "codes.pqkc"
+        out.write_bytes(pipeline["codes"].read_bytes())
+        code = cli.main([
+            "encode", "--codebook", str(pipeline["book"]),
+            "--data", str(data), "--out", str(out),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{data}: vectors must be finite, row 70000 holds NaN" in err
+        assert out.read_bytes() == pipeline["codes"].read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["codes.pqkc", "nan.fvecs"]
+
     def test_negative_seed_rejected(self, pipeline, capsys):
         code = cli.main([
             "eval", "--data", str(pipeline["data"]),

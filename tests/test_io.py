@@ -192,6 +192,22 @@ class TestCodes:
         writer.write(np.zeros((2, 2), dtype=np.uint8))
         with pytest.raises(ValueError, match="header promised 4"):
             writer.close()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_codes_writer_failure_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "x.pqkc"
+        write_codes(path, np.ones((3, 2), dtype=np.uint8), 8)
+        before = path.read_bytes()
+        with pytest.raises(RuntimeError, match="interrupted"):
+            with CodesWriter(path, 3, 2, 8) as writer:
+                writer.write(np.zeros((2, 2), dtype=np.uint8))
+                raise RuntimeError("interrupted")
+        writer = CodesWriter(path, 3, 2, 8)
+        writer.write(np.zeros((2, 2), dtype=np.uint8))
+        with pytest.raises(ValueError, match="header promised 3"):
+            writer.close()
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestCodebookFile:

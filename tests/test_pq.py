@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from pqclust import (
     DistanceTables,
@@ -13,6 +14,8 @@ from pqclust import (
     symmetric_distance_sq,
     train_codebook,
 )
+from pqclust.io import generate_synthetic
+from pqclust.lloyd import _BLOCK_ELEMENTS
 
 
 def random_codebook(m, l_count, sub_dim, seed=0):
@@ -24,6 +27,35 @@ def lattice_codebook(m, l_count):
     """Codewords on the integer line, so squared distances are exact floats."""
     grid = np.arange(l_count, dtype=np.float32).reshape(l_count, 1)
     return PQCodebook(np.broadcast_to(grid, (m, l_count, 1)).copy())
+
+
+def reference_train_codebook(vectors, num_subspaces, num_codewords, iterations, seed):
+    """The per-subspace Lloyd loop train_codebook ran before it moved onto
+    the shared driver: float64 sub-vectors, a full cdist and argmin, means
+    from one bincount per dimension, and exactly `iterations` iterations.
+    Its repair rule differs from the driver's, so it returns, next to the
+    float32 codewords, whether any codeword went empty."""
+    rng = np.random.default_rng(seed)
+    sub_dim = vectors.shape[1] // num_subspaces
+    books, emptied = [], False
+    for m in range(num_subspaces):
+        points = vectors[:, m * sub_dim : (m + 1) * sub_dim].astype(np.float64)
+        centers = points[rng.choice(len(points), size=num_codewords, replace=False)].copy()
+        for _ in range(iterations):
+            labels = np.argmin(cdist(points, centers, "sqeuclidean"), axis=1)
+            counts = np.bincount(labels, minlength=num_codewords)
+            sums = np.stack(
+                [
+                    np.bincount(labels, weights=points[:, d], minlength=num_codewords)
+                    for d in range(sub_dim)
+                ],
+                axis=1,
+            )
+            filled = counts > 0
+            emptied |= not filled.all()
+            centers[filled] = sums[filled] / counts[filled, None]
+        books.append(centers.astype(np.float32))
+    return np.stack(books), emptied
 
 
 class TestPQCodebook:
@@ -81,6 +113,37 @@ class TestTrainCodebook:
         # may perturb either side by rounding, hence the slack.
         assert mse(12) <= mse(1) * (1.0 + 1e-6)
 
+    @pytest.mark.parametrize(
+        "n, dim, components, spread, m, l_count, iterations, seed",
+        [
+            (3000, 8, 20, 0.1, 4, 16, 8, 1),
+            (5000, 12, 40, 0.25, 3, 32, 6, 2),
+            (2000, 16, 10, 0.05, 2, 64, 10, 3),
+        ],
+    )
+    def test_matches_the_reference_loop(
+        self, n, dim, components, spread, m, l_count, iterations, seed
+    ):
+        data, _ = generate_synthetic(n, dim, components, spread, seed=seed)
+        expected, emptied = reference_train_codebook(data, m, l_count, iterations, seed)
+        assert not emptied
+        book = train_codebook(data, m, l_count, iterations=iterations, seed=seed)
+        assert book.codewords.tobytes() == expected.tobytes()
+
+    def test_fewer_distinct_subvectors_than_codewords(self):
+        # 5 distinct rows repeated 200 times: most of the 16 codewords per
+        # subspace start on duplicates, go empty and are re-seeded on the
+        # farthest sub-vector, until every distinct one is a codeword.
+        rng = np.random.default_rng(12)
+        distinct = rng.normal(size=(5, 6)).astype(np.float32)
+        data = distinct[rng.integers(0, 5, size=200)]
+        for seed in range(4):
+            book = train_codebook(data, 3, 16, iterations=10, seed=seed)
+            assert np.all(np.isfinite(book.codewords))
+            assert np.array_equal(decode(book, encode(book, data)), data)
+            again = train_codebook(data, 3, 16, iterations=10, seed=seed)
+            assert again.codewords.tobytes() == book.codewords.tobytes()
+
     def test_validation(self):
         data = np.zeros((100, 10), dtype=np.float32)
         with pytest.raises(ValueError, match="divisible"):
@@ -95,6 +158,11 @@ class TestTrainCodebook:
             train_codebook(data, 2, 8, iterations=0)
         with pytest.raises(ValueError, match="2-d"):
             train_codebook(data.ravel(), 2, 8)
+        for bad_value in (np.nan, np.inf):
+            bad = data.copy()
+            bad[7, 3] = bad_value
+            with pytest.raises(ValueError, match="training vectors must be finite, row 7"):
+                train_codebook(bad, 2, 8)
 
 
 class TestEncodeDecode:
@@ -133,6 +201,48 @@ class TestEncodeDecode:
             single = encode(book, vec)
             assert single.shape == (2,)
             assert np.array_equal(single, batch[i])
+
+    @pytest.mark.parametrize("lattice", [False, True])
+    def test_encode_matches_full_cdist_with_a_partial_last_block(self, lattice):
+        l_count = 32
+        n = _BLOCK_ELEMENTS // l_count + 1
+        rng = np.random.default_rng(23)
+        if lattice:
+            # Half-integer sub-vectors lie exactly between two codewords.
+            book = lattice_codebook(3, l_count)
+            vectors = (rng.integers(-2, 2 * l_count + 2, size=(n, 3)) / 2).astype(np.float32)
+        else:
+            book = random_codebook(3, l_count, 4, seed=24)
+            vectors = rng.normal(size=(n, 12)).astype(np.float32)
+        sub_dim = book.subspace_dim
+        points = vectors.astype(np.float64)
+        expected = np.stack(
+            [
+                np.argmin(
+                    cdist(
+                        points[:, m * sub_dim : (m + 1) * sub_dim],
+                        book.codewords[m].astype(np.float64),
+                        "sqeuclidean",
+                    ),
+                    axis=1,
+                )
+                for m in range(3)
+            ],
+            axis=1,
+        )
+        assert np.array_equal(encode(book, vectors), expected)
+        if lattice:
+            assert np.count_nonzero(vectors % 1) > 0
+
+    def test_encode_rejects_non_finite_vectors(self):
+        book = random_codebook(2, 8, 3)
+        vectors = np.zeros((6, 6), dtype=np.float32)
+        for bad_value in (np.nan, np.inf, -np.inf):
+            vectors[4, 5] = bad_value
+            with pytest.raises(ValueError, match="vectors must be finite, row 4"):
+                encode(book, vectors)
+        with pytest.raises(ValueError, match="row 0"):
+            encode(book, vectors[4])
 
     def test_encode_rejects_wrong_dimension(self):
         book = random_codebook(2, 8, 3)
