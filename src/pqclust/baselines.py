@@ -19,7 +19,7 @@ from functools import partial
 
 import numpy as np
 
-from .clustering import _table_assign, init_centers
+from .clustering import _histogram_product, _member_histograms, _table_assign, init_centers
 from .lloyd import _BLOCK_ELEMENTS, ClusteringResult, _assigned_sq_distances, _kmeans_assign
 from .lloyd import _lloyd, _means_update_all, _squared_objectives, cluster_means
 from .pq import DistanceTables, _check_finite, _validate_codes
@@ -208,17 +208,14 @@ def hamming_to_centers(codes: np.ndarray, centers: np.ndarray) -> np.ndarray:
 def _majority_update_all(codes, labels, counts):
     """Per-bit majority centers of every cluster, as majority_center gives.
 
-    Each byte column is tallied into one (K, 256) histogram of byte values
-    per cluster, which times the byte-to-bits matrix gives each cluster's
-    count of set bits. Empty clusters get zero codes, for the caller to
-    repair.
+    Each byte column's (K, 256) member histogram times the byte-to-bits
+    matrix gives each cluster's count of set bits. Empty clusters get
+    zero codes, for the caller to repair.
     """
-    joint = labels.astype(np.intp) * 256
     ones = np.concatenate(
         [
-            np.bincount(joint + column, minlength=len(counts) * 256).reshape(-1, 256)
-            @ _BYTE_BITS
-            for column in codes.T
+            _histogram_product(hist, _BYTE_BITS)
+            for hist in _member_histograms(codes, labels, len(counts), 256)
         ],
         axis=1,
     )

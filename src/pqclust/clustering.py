@@ -13,9 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
+from scipy import sparse
 
 # IterationStats is imported so that callers can still name it here.
 from .lloyd import _BLOCK_ELEMENTS, ClusteringResult, IterationStats, _lloyd
@@ -91,9 +92,9 @@ def update_center_sparse(
     """Recompute one center from per-subspace member histograms.
 
     Votes for candidate l are sum_j counts[j] * tables[m][j, l] taken
-    over the nonzero bins only, so the cost is O(L * nnz) per subspace.
-    Picks the same codeword indices as update_center_naive on the same
-    members.
+    over the nonzero bins only, O(L * nnz) per subspace, by the product
+    fit's update runs on every cluster. Picks the same codeword indices as
+    update_center_naive on the same members.
     """
     if len(histograms) != tables.num_subspaces:
         raise ValueError(
@@ -103,10 +104,22 @@ def update_center_sparse(
     for m, hist in enumerate(histograms):
         if hist.nnz == 0:
             raise ValueError(f"histogram for subspace {m} is empty")
-        weights = hist.counts[hist.support].astype(np.float64)
-        votes = weights @ tables.tables[m][hist.support]
-        center[m] = np.argmin(votes)
+        center[m] = np.argmin(_histogram_product(hist.counts[None, :], tables.tables[m]))
     return center
+
+
+def _member_histograms(codes, labels, k, num_codewords) -> Iterator[np.ndarray]:
+    """Yield each subspace's (K, L) member histogram: row k counts the
+    subindices of the codes labeled k."""
+    joint = labels.astype(np.intp) * num_codewords
+    for column in codes.T:
+        yield np.bincount(joint + column, minlength=k * num_codewords).reshape(k, -1)
+
+
+def _histogram_product(histogram: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """histogram @ matrix with the histogram rows held as a CSR matrix, so
+    a row costs O(nnz * width) and sums its terms in codeword order."""
+    return sparse.csr_array(histogram) @ matrix
 
 
 def init_centers(codes: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
@@ -352,30 +365,19 @@ def _sparse_update_all(
     counts: np.ndarray,
     tables: DistanceTables,
 ) -> tuple[np.ndarray, float]:
-    """Sparse-voting center update for all clusters at once.
+    """update_center_sparse's vote for every cluster at once, one sparse
+    product per subspace; an empty cluster votes 0 and gets the zero code.
 
     Returns the new centers and the mean histogram support size over all
     (non-empty cluster, subspace) pairs.
     """
-    k = len(counts)
-    m_count = tables.num_subspaces
-    l_count = tables.num_codewords
-    centers = np.zeros((k, m_count), dtype=np.uint8)
-    filled = np.flatnonzero(counts > 0)
+    k, m_count = len(counts), tables.num_subspaces
+    centers = np.empty((k, m_count), dtype=np.uint8)
     nnz_total = 0
-    joint_base = labels.astype(np.int64) * l_count
-    for m in range(m_count):
-        hist = np.bincount(joint_base + codes[:, m], minlength=k * l_count)
-        hist = hist.reshape(k, l_count)
-        table = tables.tables[m]
-        for ki in filled:
-            support = np.flatnonzero(hist[ki])
-            nnz_total += len(support)
-            weights = hist[ki, support].astype(np.float64)
-            votes = weights @ table[support]
-            centers[ki, m] = np.argmin(votes)
-    mean_nnz = nnz_total / (len(filled) * m_count) if len(filled) else 0.0
-    return centers, mean_nnz
+    for m, hist in enumerate(_member_histograms(codes, labels, k, tables.num_codewords)):
+        nnz_total += np.count_nonzero(hist)
+        centers[:, m] = _histogram_product(hist, tables.tables[m]).argmin(axis=1)
+    return centers, float(nnz_total / (np.count_nonzero(counts) * m_count))
 
 
 def _naive_update_all(

@@ -28,7 +28,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .pq import MAX_CODEWORDS, PQCodebook
+from .pq import MAX_CODEWORDS, PQCodebook, _validate_codes
 
 _CODE_HEADER = struct.Struct("<4sIQII")
 _BOOK_HEADER = struct.Struct("<4sIIII")
@@ -56,6 +56,8 @@ def _iter_vec_records(
     path, component_bytes: int, chunk_records: int
 ) -> Iterator[tuple[int, np.ndarray, int]]:
     """Yield (dim, payload byte block, first record index) per chunk."""
+    if chunk_records < 1:
+        raise ValueError(f"chunk_records must be positive, got {chunk_records}")
     with open(path, "rb") as fh:
         head = fh.read(4)
         if not head:
@@ -150,20 +152,17 @@ def write_bvecs(path, vectors: np.ndarray) -> None:
 
 
 def write_codes(path, codes: np.ndarray, num_codewords: int) -> None:
-    """Write uint8 PQ codes of shape (N, M) as a PQKC file."""
-    arr = np.ascontiguousarray(codes, dtype=np.uint8)
+    """Write integer PQ codes of shape (N, M) as a PQKC file."""
+    arr = np.asarray(codes)
     if arr.ndim != 2 or arr.shape[1] == 0:
         raise ValueError(f"codes must have shape (N, M), M >= 1, got {arr.shape}")
     if not 2 <= num_codewords <= MAX_CODEWORDS:
         raise ValueError(f"num_codewords must be in [2, {MAX_CODEWORDS}], got {num_codewords}")
-    if arr.size and arr.max() >= num_codewords:
-        raise ValueError(
-            f"codes contain index {arr.max()}, must be below L={num_codewords}"
-        )
+    _validate_codes(arr, arr.shape[1], num_codewords)
     n, m = arr.shape
     with open(path, "wb") as fh:
         fh.write(_CODE_HEADER.pack(b"PQKC", FORMAT_VERSION, n, m, num_codewords))
-        fh.write(arr.tobytes())
+        fh.write(arr.astype(np.uint8).tobytes())
 
 
 class CodesWriter:
@@ -187,14 +186,10 @@ class CodesWriter:
         self._fh.write(_CODE_HEADER.pack(b"PQKC", FORMAT_VERSION, n, m, num_codewords))
 
     def write(self, codes: np.ndarray) -> None:
-        arr = np.ascontiguousarray(codes, dtype=np.uint8)
+        arr = np.asarray(codes)
         if arr.ndim != 2 or arr.shape[1] != self._m:
             raise ValueError(f"chunk must have shape (n, {self._m}), got {arr.shape}")
-        if arr.size and arr.max() >= self._l:
-            raise ValueError(
-                f"chunk contains index {arr.max()}, must be below L={self._l}"
-            )
-        self._fh.write(arr.tobytes())
+        self._fh.write(_validate_codes(arr, self._m, self._l).astype(np.uint8).tobytes())
         self._written += len(arr)
 
     def close(self) -> None:
@@ -236,6 +231,8 @@ def read_codes_header(path) -> tuple[int, int, int]:
 
 def iter_codes(path, chunk_records: int = 262144) -> Iterator[np.ndarray]:
     """Stream a PQKC file as uint8 chunks of shape (n_i, M)."""
+    if chunk_records < 1:
+        raise ValueError(f"chunk_records must be positive, got {chunk_records}")
     n, m, l_count = read_codes_header(path)
     with open(path, "rb") as fh:
         fh.seek(_CODE_HEADER.size)
@@ -311,12 +308,13 @@ def read_codebook(path) -> PQCodebook:
 
 def write_binary_codes(path, packed: np.ndarray) -> None:
     """Write packed binary codes of shape (N, B/8) as a PQKB file."""
-    arr = np.ascontiguousarray(packed, dtype=np.uint8)
+    arr = np.asarray(packed)
     if arr.ndim != 2 or arr.shape[1] == 0:
         raise ValueError(f"packed codes must have shape (N, B/8), got {arr.shape}")
+    _validate_codes(arr, arr.shape[1], 256)
     with open(path, "wb") as fh:
         fh.write(_BINARY_HEADER.pack(b"PQKB", 8 * arr.shape[1], len(arr)))
-        fh.write(arr.tobytes())
+        fh.write(arr.astype(np.uint8).tobytes())
 
 
 def read_binary_codes(path) -> tuple[np.ndarray, int]:
@@ -344,6 +342,8 @@ def write_labels(path, labels: np.ndarray) -> None:
     arr = np.asarray(labels)
     if arr.ndim != 1:
         raise ValueError(f"labels must be 1-d, got shape {arr.shape}")
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError(f"labels must be integers, got dtype {arr.dtype}")
     if arr.size and (arr.min() < 0 or arr.max() > np.iinfo(np.uint32).max):
         raise ValueError("labels must fit in uint32")
     with open(path, "wb") as fh:

@@ -109,7 +109,7 @@ def _validate_codes(codes: np.ndarray, num_subspaces: int, num_codewords: int) -
         raise ValueError(f"codes must be integers, got dtype {codes.dtype}")
     if codes.size and (codes.min() < 0 or codes.max() >= num_codewords):
         raise ValueError(
-            f"code indices must lie in [0, {num_codewords}), "
+            f"code indices must lie in [0, {num_codewords}), below L={num_codewords}, "
             f"got range [{codes.min()}, {codes.max()}]"
         )
     return codes

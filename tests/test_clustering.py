@@ -19,7 +19,7 @@ from pqclust import (
     update_center_naive,
     update_center_sparse,
 )
-from pqclust.clustering import _assign_linear_scan
+from pqclust.clustering import _assign_linear_scan, _sparse_update_all
 
 
 def random_tables(m, l_count, seed=0, sub_dim=2):
@@ -86,6 +86,36 @@ class TestCenterUpdates:
                 update_center_sparse(hists, tables),
                 update_center_naive(members, tables),
             )
+
+    @pytest.mark.parametrize("l_count", [4, 256])
+    @pytest.mark.parametrize("lattice", [False, True])
+    def test_update_all_matches_naive_per_cluster(self, l_count, lattice):
+        # Fit's update, row by row, against the candidate scan on each
+        # cluster's members; 3000 codes in 1000 clusters leave some empty.
+        m, k = 3, 1000
+        rng = np.random.default_rng(l_count + lattice)
+        tables = lattice_tables(m, l_count) if lattice else random_tables(m, l_count, seed=l_count)
+        codes = rng.integers(0, l_count, size=(3000, m), dtype=np.uint8)
+        labels = rng.integers(0, k, size=3000).astype(np.uint32)
+        counts = np.bincount(labels, minlength=k)
+        assert (counts == 0).any()
+        centers, mean_nnz = _sparse_update_all(codes, labels, counts, tables)
+        assert centers.shape == (k, m) and centers.dtype == np.uint8
+        distinct = pairs = ties = 0
+        for ki in range(k):
+            members = codes[labels == ki]
+            if len(members) == 0:
+                assert not centers[ki].any()
+                continue
+            assert np.array_equal(centers[ki], update_center_naive(members, tables))
+            for mm in range(m):
+                distinct += len(np.unique(members[:, mm]))
+                pairs += 1
+                costs = tables.tables[mm][members[:, mm]].sum(axis=0)
+                ties += np.count_nonzero(costs == costs.min()) > 1
+        assert mean_nnz == distinct / pairs
+        if lattice:
+            assert ties > 0  # exact ties occurred and went to the lowest index
 
     def test_sparse_validation(self):
         tables = random_tables(2, 8)

@@ -10,6 +10,7 @@ from pqclust.io import (
     CodesWriter,
     FormatError,
     generate_synthetic,
+    iter_bvecs,
     iter_codes,
     iter_fvecs,
     load_result_document,
@@ -140,6 +141,19 @@ class TestCodes:
         with pytest.raises(ValueError, match="shape"):
             write_codes(path, np.zeros(4, dtype=np.uint8), 4)
 
+    @pytest.mark.parametrize("bad", [[[0, 300]], [[0, -1]], [[0.0, 1.7]]])
+    def test_writers_reject_what_a_byte_cast_would_change(self, tmp_path, bad):
+        bad = np.array(bad)
+        message = r"\[0, 256\)|integers"
+        with pytest.raises(ValueError, match=message):
+            write_codes(tmp_path / "x.pqkc", bad, 256)
+        with pytest.raises(ValueError, match=message):
+            write_binary_codes(tmp_path / "x.pqkb", bad)
+        with CodesWriter(tmp_path / "y.pqkc", 0, 2, 256) as writer:
+            with pytest.raises(ValueError, match=message):
+                writer.write(bad)
+        assert [p.name for p in tmp_path.iterdir()] == ["y.pqkc"]
+
     def test_read_errors(self, tmp_path):
         header = struct.Struct("<4sIQII")
         path = tmp_path / "bad.pqkc"
@@ -208,6 +222,16 @@ class TestCodes:
             writer.close()
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("chunk_records", [0, -1])
+def test_stream_readers_reject_nonpositive_chunks(tmp_path, chunk_records):
+    write_fvecs(tmp_path / "x.fvecs", np.zeros((3, 2), dtype=np.float32))
+    write_bvecs(tmp_path / "x.bvecs", np.zeros((3, 2)))
+    write_codes(tmp_path / "x.pqkc", np.zeros((3, 2), dtype=np.uint8), 4)
+    for reader, name in ((iter_fvecs, "x.fvecs"), (iter_bvecs, "x.bvecs"), (iter_codes, "x.pqkc")):
+        with pytest.raises(ValueError, match="chunk_records must be positive"):
+            next(reader(tmp_path / name, chunk_records=chunk_records))
 
 
 class TestCodebookFile:
@@ -302,6 +326,8 @@ class TestLabels:
             write_labels(path, np.array([-1]))
         with pytest.raises(ValueError, match="uint32"):
             write_labels(path, np.array([2**33]))
+        with pytest.raises(ValueError, match="integers"):
+            write_labels(path, np.array([1.7]))
 
 
 class TestSynthetic:
