@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -59,10 +60,26 @@ def _add_seed_and_threads(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_method_inputs(parser: argparse.ArgumentParser) -> None:
+    """The inputs and settings that cluster and bench share."""
+    parser.add_argument("--max-iterations", type=int, default=20)
+    parser.add_argument("--codes", default=None, help="PQ code file (pqkmeans)")
+    parser.add_argument("--codebook", default=None, help="codebook file (pqkmeans)")
+    parser.add_argument(
+        "--data",
+        default=None,
+        help="fvecs file (kmeans, or bkmeans with --bits); bench also scores the labels on it",
+    )
+    parser.add_argument("--binary-codes", default=None, help="binary code file (bkmeans)")
+    parser.add_argument("--bits", type=int, default=None, help="binarize --data to this many bits")
+    parser.add_argument("--binary-codes-out", default=None, help="persist binarized codes here")
+    parser.add_argument("--update", choices=["sparse", "naive"], default="sparse")
+
+
 def _check_common(args: argparse.Namespace) -> None:
     if args.seed < 0:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
-    if getattr(args, "threads", 1) < 1:
+    if args.threads < 1:
         raise ValueError(f"--threads must be positive, got {args.threads}")
 
 
@@ -71,10 +88,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
     vectors, labels = io.generate_synthetic(
         args.n, args.dim, args.clusters, args.spread, derive_seed(args.seed, "synth")
     )
-    io.write_fvecs(args.out, vectors)
+    targets = [args.out, args.labels_out] if args.labels_out else [args.out]
+    with io.staged(*targets) as temps:
+        io.write_fvecs(temps[0], vectors)
+        if args.labels_out:
+            io.write_labels(temps[1], labels)
     print(f"wrote {args.n} vectors of dimension {args.dim} to {args.out}")
     if args.labels_out:
-        io.write_labels(args.labels_out, labels)
         print(f"wrote ground-truth labels to {args.labels_out}")
     return 0
 
@@ -91,7 +111,8 @@ def cmd_train_codebook(args: argparse.Namespace) -> int:
         iterations=args.iterations,
         seed=derive_seed(args.seed, "codebook"),
     )
-    io.write_codebook(args.out, codebook)
+    with io.staged(args.out) as (temp,):
+        io.write_codebook(temp, codebook)
     reconstructed = pq.decode(codebook, pq.encode(codebook, train))
     mse = float(
         np.mean(np.sum((train.astype(np.float64) - reconstructed) ** 2, axis=1))
@@ -107,25 +128,17 @@ def cmd_train_codebook(args: argparse.Namespace) -> int:
 def cmd_encode(args: argparse.Namespace) -> int:
     _check_common(args)
     codebook = io.read_codebook(args.codebook)
-    size = os.path.getsize(args.data)
-    record_bytes = 4 + 4 * codebook.dim
-    if size % record_bytes:
-        raise ValueError(
-            f"{args.data}: size {size} does not divide into records of "
-            f"dimension {codebook.dim}"
-        )
-    n = size // record_bytes
+    n, dim = io.fvecs_shape(args.data)
     if n == 0:
         raise ValueError(f"{args.data}: no vectors to encode")
+    if dim != codebook.dim:
+        raise ValueError(
+            f"{args.data}: vectors have dimension {dim}, codebook expects {codebook.dim}"
+        )
     with io.CodesWriter(
         args.out, n, codebook.num_subspaces, codebook.num_codewords
     ) as writer:
         for i, chunk in enumerate(io.iter_fvecs(args.data, _ENCODE_CHUNK)):
-            if chunk.shape[1] != codebook.dim:
-                raise ValueError(
-                    f"{args.data}: vectors have dimension {chunk.shape[1]}, "
-                    f"codebook expects {codebook.dim}"
-                )
             pq._check_finite(chunk, f"{args.data}: vectors", i * _ENCODE_CHUNK)
             writer.write(pq.encode(codebook, chunk))
     print(f"encoded {n} vectors into {args.out}")
@@ -146,14 +159,23 @@ def _load_binary_input(args: argparse.Namespace) -> np.ndarray:
     )
     packed = baselines.binarize(binarizer, vectors)
     if args.binary_codes_out:
-        io.write_binary_codes(args.binary_codes_out, packed)
+        with io.staged(args.binary_codes_out) as (temp,):
+            io.write_binary_codes(temp, packed)
         print(f"wrote binary codes to {args.binary_codes_out}")
     return packed
 
 
 def _run_method(args: argparse.Namespace, method: str, k: int):
-    """Run one clustering method. Returns (result, row dict for bench)."""
-    seed = derive_seed(args.seed, "cluster")
+    """Run one clustering method.
+
+    Returns (result, row dict for bench, centers file name, centers writer):
+    the writer takes the path to write the result's centers to.
+    """
+    fit_args = {
+        "max_iterations": args.max_iterations,
+        "seed": derive_seed(args.seed, "cluster"),
+        "threads": args.threads,
+    }
     row: dict[str, object] = {"method": method, "k": k, "threads": args.threads, "seed": args.seed}
     if method == "pqkmeans":
         if not args.codes or not args.codebook:
@@ -167,15 +189,7 @@ def _run_method(args: argparse.Namespace, method: str, k: int):
                 f"(M={m}, L={l_count})"
             )
         tables = pq.build_distance_tables(codebook)
-        result = clustering.fit(
-            codes,
-            tables,
-            k,
-            max_iterations=args.max_iterations,
-            seed=seed,
-            threads=args.threads,
-            update=args.update,
-        )
+        result = clustering.fit(codes, tables, k, update=args.update, **fit_args)
         nnz = [
             s.mean_histogram_nnz for s in result.trace if s.mean_histogram_nnz is not None
         ]
@@ -187,51 +201,37 @@ def _run_method(args: argparse.Namespace, method: str, k: int):
             memory_bytes=clustering.estimate_memory(len(codes), k, m, l_count).total_bytes,
         )
         if args.time_naive_update and args.update == "sparse":
-            naive = clustering.fit(
-                codes,
-                tables,
-                k,
-                max_iterations=args.max_iterations,
-                seed=seed,
-                threads=args.threads,
-                update="naive",
-            )
+            naive = clustering.fit(codes, tables, k, update="naive", **fit_args)
             if not np.array_equal(naive.labels, result.labels):
                 raise ValueError(
                     "naive and sparse updates disagreed; benchmark aborted"
                 )
             row["naive_update_seconds"] = sum(s.update_seconds for s in naive.trace)
-        return result, row
+        return result, row, "centers.pqkc", lambda path: io.write_codes(
+            path, result.centers, l_count
+        )
     if method == "kmeans":
         if not args.data:
             raise ValueError("method kmeans needs --data")
         vectors = io.read_fvecs(args.data)
-        result = baselines.kmeans_fit(
-            vectors,
-            k,
-            max_iterations=args.max_iterations,
-            seed=seed,
-            threads=args.threads,
-        )
+        result = baselines.kmeans_fit(vectors, k, **fit_args)
         dim = vectors.shape[1]
         row.update(n=len(vectors), memory_bytes=4.0 * dim * (len(vectors) + k) + 4.0 * len(vectors))
-        return result, row
+        return result, row, "centers.fvecs", lambda path: io.write_fvecs(
+            path, result.centers.astype(np.float32)
+        )
     if method == "bkmeans":
         packed = _load_binary_input(args)
-        result = baselines.bkmeans_fit(
-            packed,
-            k,
-            max_iterations=args.max_iterations,
-            seed=seed,
-            threads=args.threads,
-        )
+        result = baselines.bkmeans_fit(packed, k, **fit_args)
         bits = 8 * packed.shape[1]
         row.update(
             n=len(packed),
             bits=bits,
             memory_bytes=(bits / 8.0) * (len(packed) + k) + 4.0 * len(packed),
         )
-        return result, row
+        return result, row, "centers.pqkb", lambda path: io.write_binary_codes(
+            path, result.centers
+        )
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -258,15 +258,10 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         raise ValueError(f"--max-iterations must be positive, got {args.max_iterations}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    result, row = _run_method(args, args.method, args.k)
+    result, row, centers_name, write_centers = _run_method(args, args.method, args.k)
 
     labels_path = out_dir / "labels.bin"
-    if args.method == "pqkmeans":
-        centers_path = out_dir / "centers.pqkc"
-    elif args.method == "kmeans":
-        centers_path = out_dir / "centers.fvecs"
-    else:
-        centers_path = out_dir / "centers.pqkb"
+    centers_path = out_dir / centers_name
     trace_path = out_dir / "trace.csv"
     result_path = out_dir / "result.json"
 
@@ -278,7 +273,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
             "max_iterations": args.max_iterations,
             "seed": args.seed,
             "threads": args.threads,
-            "update": getattr(args, "update", None),
+            "update": args.update,
             "codes": args.codes,
             "codebook": args.codebook,
             "data": args.data,
@@ -289,21 +284,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         "iterations_run": result.iterations_run,
         "converged": result.converged,
         "objective": result.trace[-1].objective,
-        "trace": [
-            {
-                "iteration": s.iteration,
-                "objective": s.objective,
-                "objective_sq": s.objective_sq,
-                "assign_seconds": s.assign_seconds,
-                "update_seconds": s.update_seconds,
-                "repaired_clusters": s.repaired_clusters,
-                "mean_histogram_nnz": s.mean_histogram_nnz,
-                "label_changes": s.label_changes,
-                "moved_centers": s.moved_centers,
-                "rescanned_points": s.rescanned_points,
-            }
-            for s in result.trace
-        ],
+        "trace": [dataclasses.asdict(s) for s in result.trace],
         "outputs": {
             "labels": str(labels_path),
             "centers": str(centers_path),
@@ -311,30 +292,17 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         },
     }
 
-    # Every artifact goes to a temporary name beside its final one and is
-    # moved into place only after all four are written and the labels
-    # read back, so a failed run leaves the previous run's artifacts whole.
-    staged = {
-        path: path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        for path in (labels_path, centers_path, trace_path, result_path)
-    }
-    try:
-        io.write_labels(staged[labels_path], result.labels)
-        if args.method == "pqkmeans":
-            io.write_codes(staged[centers_path], result.centers, int(row["l"]))
-        elif args.method == "kmeans":
-            io.write_fvecs(staged[centers_path], result.centers.astype(np.float32))
-        else:
-            io.write_binary_codes(staged[centers_path], result.centers)
-        _write_trace_csv(staged[trace_path], result.trace)
-        io.save_result_document(staged[result_path], document)
-        if len(io.read_labels(staged[labels_path])) != int(row["n"]):
+    # All four artifacts are staged together and moved into place only
+    # after the labels read back, so a failed run leaves the previous
+    # run's artifacts whole.
+    with io.staged(labels_path, centers_path, trace_path, result_path) as temps:
+        labels_temp, centers_temp, trace_temp, result_temp = temps
+        io.write_labels(labels_temp, result.labels)
+        write_centers(centers_temp)
+        _write_trace_csv(trace_temp, result.trace)
+        io.save_result_document(result_temp, document)
+        if len(io.read_labels(labels_temp)) != int(row["n"]):
             raise ValueError(f"{labels_path}: written labels failed validation")
-        for path, temp in staged.items():
-            os.replace(temp, path)
-    finally:
-        for temp in staged.values():
-            temp.unlink(missing_ok=True)
     print(
         f"{args.method}: n={row['n']} k={args.k} "
         f"iterations={result.iterations_run} converged={result.converged} "
@@ -345,7 +313,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    _check_common(args)
     vectors = io.read_fvecs(args.data)
     labels = io.read_labels(args.labels)
     if len(labels) != len(vectors):
@@ -367,8 +334,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        with io.staged(args.out) as (temp,):
+            temp.write_text(text + "\n", encoding="utf-8")
     return 0
+
+
+def _write_bench_csv(fh, rows: list[dict]) -> None:
+    # Columns a method does not fill are left empty (DictWriter's restval).
+    writer = csv.DictWriter(fh, fieldnames=_BENCH_COLUMNS)
+    writer.writeheader()
+    writer.writerows(rows)
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -383,12 +358,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     rows = []
     for method in methods:
         for k in k_grid:
-            result, row = _run_method(args, method, k)
-            row.setdefault("naive_update_seconds", "")
-            row.setdefault("mean_histogram_nnz", "")
-            row.setdefault("m", "")
-            row.setdefault("l", "")
-            row.setdefault("bits", "")
+            result, row, _, _ = _run_method(args, method, k)
             row.update(
                 iterations_run=result.iterations_run,
                 converged=result.converged,
@@ -402,17 +372,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 ),
             )
             rows.append(row)
-    out_fh = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
-    try:
-        writer = csv.DictWriter(out_fh, fieldnames=_BENCH_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-    finally:
-        if args.out:
-            out_fh.close()
-    if args.out:
-        print(f"wrote {len(rows)} benchmark rows to {args.out}")
+    if not args.out:
+        _write_bench_csv(sys.stdout, rows)
+        return 0
+    with io.staged(args.out) as (temp,), open(temp, "w", newline="", encoding="utf-8") as fh:
+        _write_bench_csv(fh, rows)
+    print(f"wrote {len(rows)} benchmark rows to {args.out}")
     return 0
 
 
@@ -452,14 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cluster", help="run a clustering method")
     p.add_argument("--method", required=True, choices=["pqkmeans", "kmeans", "bkmeans"])
     p.add_argument("--k", type=int, required=True, help="number of clusters")
-    p.add_argument("--max-iterations", type=int, default=20)
-    p.add_argument("--codes", default=None, help="PQ code file (pqkmeans)")
-    p.add_argument("--codebook", default=None, help="codebook file (pqkmeans)")
-    p.add_argument("--data", default=None, help="fvecs file (kmeans, or bkmeans with --bits)")
-    p.add_argument("--binary-codes", default=None, help="binary code file (bkmeans)")
-    p.add_argument("--bits", type=int, default=None, help="binarize --data to this many bits")
-    p.add_argument("--binary-codes-out", default=None, help="persist binarized codes here")
-    p.add_argument("--update", choices=["sparse", "naive"], default="sparse")
+    _add_method_inputs(p)
     p.add_argument("--out-dir", required=True, help="output directory")
     _add_seed_and_threads(p)
     p.set_defaults(func=cmd_cluster, time_naive_update=False)
@@ -469,19 +427,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True, help="label file to score")
     p.add_argument("--reference", default=None, help="reference labels for the Rand index")
     p.add_argument("--out", default=None, help="optional JSON report path")
-    p.set_defaults(func=cmd_eval, seed=0)
+    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bench", help="sweep methods and cluster counts, emit CSV")
     p.add_argument("--methods", default="pqkmeans", help="comma-separated method list")
     p.add_argument("--k-grid", required=True, help="comma-separated cluster counts")
-    p.add_argument("--codes", default=None)
-    p.add_argument("--codebook", default=None)
-    p.add_argument("--data", default=None, help="fvecs; also enables the error column")
-    p.add_argument("--binary-codes", default=None)
-    p.add_argument("--bits", type=int, default=None)
-    p.add_argument("--binary-codes-out", default=None)
-    p.add_argument("--update", choices=["sparse", "naive"], default="sparse")
-    p.add_argument("--max-iterations", type=int, default=20)
+    _add_method_inputs(p)
     p.add_argument(
         "--time-naive-update",
         action="store_true",

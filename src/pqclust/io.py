@@ -15,11 +15,15 @@ All formats are little-endian regardless of platform:
 
 Readers validate as they go and name the offending record in every
 diagnostic. The iter_* variants stream fixed-size chunks and never
-allocate proportional to the file size.
+allocate proportional to the file size; the whole-file readers learn
+(N, D) or (N, M) first and fill one preallocated array from that stream.
+`staged` gives writers a temporary path beside each target and moves
+them into place only when every write succeeded.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import struct
@@ -48,36 +52,72 @@ def _read_exact(fh, count: int, path, what: str) -> bytes:
     return raw
 
 
+@contextlib.contextmanager
+def staged(*paths) -> Iterator[list[Path]]:
+    """Yield a temporary path beside each target path.
+
+    If the block completes, every temporary file is moved onto its target;
+    whether or not it does, none is left behind. A failed block therefore
+    leaves every target as it was.
+    """
+    temps = [Path(p).with_name(f".{Path(p).name}.{os.getpid()}.tmp") for p in paths]
+    try:
+        yield temps
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+    finally:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+
+
+def _fill(out: np.ndarray, chunks: Iterator[np.ndarray]) -> np.ndarray:
+    """Copy a stream of row chunks into the preallocated array `out`."""
+    start = 0
+    for chunk in chunks:
+        out[start : start + len(chunk)] = chunk
+        start += len(chunk)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # fvecs / bvecs
 
 
-def _iter_vec_records(
-    path, component_bytes: int, chunk_records: int
-) -> Iterator[tuple[int, np.ndarray, int]]:
-    """Yield (dim, payload byte block, first record index) per chunk."""
-    if chunk_records < 1:
-        raise ValueError(f"chunk_records must be positive, got {chunk_records}")
+def _vecs_layout(path, component_bytes: int) -> tuple[int, int, int]:
+    """(N, D, record bytes) of an fvecs/bvecs file, from its first record and size."""
     with open(path, "rb") as fh:
         head = fh.read(4)
-        if not head:
-            return
-        if len(head) < 4:
-            raise FormatError(f"{path}: truncated record 0")
-        dim = struct.unpack("<i", head)[0]
-        if dim <= 0:
-            raise FormatError(f"{path}: record 0 declares dimension {dim}")
-        record_bytes = 4 + component_bytes * dim
-        fh.seek(0)
-        index = 0
-        while True:
-            raw = fh.read(record_bytes * chunk_records)
-            if not raw:
-                return
-            count, tail = divmod(len(raw), record_bytes)
-            if tail:
-                raise FormatError(f"{path}: truncated record {index + count}")
-            block = np.frombuffer(raw, dtype=np.uint8).reshape(count, record_bytes)
+        size = os.fstat(fh.fileno()).st_size
+    if not head:
+        return 0, 0, 4
+    if len(head) < 4:
+        raise FormatError(f"{path}: truncated record 0")
+    dim = struct.unpack("<i", head)[0]
+    if dim <= 0:
+        raise FormatError(f"{path}: record 0 declares dimension {dim}")
+    record_bytes = 4 + component_bytes * dim
+    n, tail = divmod(size, record_bytes)
+    if tail:
+        raise FormatError(f"{path}: truncated record {n}")
+    return n, dim, record_bytes
+
+
+def fvecs_shape(path) -> tuple[int, int]:
+    """(N, D) of an fvecs file without reading past its first record."""
+    return _vecs_layout(path, 4)[:2]
+
+
+def _iter_vec_records(
+    path, component_bytes: int, chunk_records: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (dim, payload byte block) per chunk of whole records."""
+    if chunk_records < 1:
+        raise ValueError(f"chunk_records must be positive, got {chunk_records}")
+    n, dim, record_bytes = _vecs_layout(path, component_bytes)
+    with open(path, "rb") as fh:
+        for index in range(0, n, chunk_records):
+            raw = fh.read(record_bytes * min(chunk_records, n - index))
+            block = np.frombuffer(raw, dtype=np.uint8).reshape(-1, record_bytes)
             dims = block[:, :4].copy().view("<i4").ravel()
             if not np.all(dims == dim):
                 bad = int(np.argmax(dims != dim))
@@ -85,22 +125,18 @@ def _iter_vec_records(
                     f"{path}: record {index + bad} declares dimension "
                     f"{dims[bad]}, expected {dim}"
                 )
-            yield dim, block[:, 4:], index
-            index += count
+            yield dim, block[:, 4:]
 
 
 def iter_fvecs(path, chunk_records: int = 65536) -> Iterator[np.ndarray]:
     """Stream an fvecs file as float32 chunks of shape (n_i, D)."""
-    for dim, payload, _ in _iter_vec_records(path, 4, chunk_records):
+    for dim, payload in _iter_vec_records(path, 4, chunk_records):
         yield payload.copy().view("<f4").reshape(-1, dim)
 
 
 def read_fvecs(path) -> np.ndarray:
     """Load a whole fvecs file as a float32 array of shape (N, D)."""
-    chunks = list(iter_fvecs(path))
-    if not chunks:
-        return np.empty((0, 0), dtype=np.float32)
-    return np.concatenate(chunks, axis=0)
+    return _fill(np.empty(fvecs_shape(path), dtype=np.float32), iter_fvecs(path))
 
 
 def write_fvecs(path, vectors: np.ndarray) -> None:
@@ -118,16 +154,13 @@ def write_fvecs(path, vectors: np.ndarray) -> None:
 
 def iter_bvecs(path, chunk_records: int = 65536) -> Iterator[np.ndarray]:
     """Stream a bvecs file as float32 chunks (byte components widened)."""
-    for dim, payload, _ in _iter_vec_records(path, 1, chunk_records):
+    for dim, payload in _iter_vec_records(path, 1, chunk_records):
         yield payload.astype(np.float32).reshape(-1, dim)
 
 
 def read_bvecs(path) -> np.ndarray:
     """Load a whole bvecs file, widened to float32."""
-    chunks = list(iter_bvecs(path))
-    if not chunks:
-        return np.empty((0, 0), dtype=np.float32)
-    return np.concatenate(chunks, axis=0)
+    return _fill(np.empty(_vecs_layout(path, 1)[:2], dtype=np.float32), iter_bvecs(path))
 
 
 def write_bvecs(path, vectors: np.ndarray) -> None:
@@ -169,7 +202,7 @@ class CodesWriter:
     """Incremental PQKC writer for streaming encoders.
 
     The header is written up front from the promised record count, into
-    a temporary file beside the target. close() moves it into place only
+    a staged file beside the target. close() moves it into place only
     once exactly that many records arrived; a failed write removes it.
     """
 
@@ -177,12 +210,13 @@ class CodesWriter:
         if m < 1 or not 2 <= num_codewords <= MAX_CODEWORDS:
             raise ValueError(f"invalid code geometry M={m}, L={num_codewords}")
         self._path = path
-        self._temp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
         self._n = n
         self._m = m
         self._l = num_codewords
         self._written = 0
-        self._fh = open(self._temp, "wb")
+        self._stage = contextlib.ExitStack()
+        (temp,) = self._stage.enter_context(staged(path))
+        self._fh = self._stage.enter_context(open(temp, "wb"))
         self._fh.write(_CODE_HEADER.pack(b"PQKC", FORMAT_VERSION, n, m, num_codewords))
 
     def write(self, codes: np.ndarray) -> None:
@@ -193,15 +227,11 @@ class CodesWriter:
         self._written += len(arr)
 
     def close(self) -> None:
-        self._fh.close()
-        try:
+        with self._stage:
             if self._written != self._n:
                 raise ValueError(
                     f"{self._path}: wrote {self._written} records, header promised {self._n}"
                 )
-            os.replace(self._temp, self._path)
-        finally:
-            self._temp.unlink(missing_ok=True)
 
     def __enter__(self) -> "CodesWriter":
         return self
@@ -210,22 +240,28 @@ class CodesWriter:
         if exc_type is None:
             self.close()
         else:
-            self._fh.close()
-            self._temp.unlink(missing_ok=True)
+            self._stage.__exit__(exc_type, exc, tb)
 
 
 def read_codes_header(path) -> tuple[int, int, int]:
-    """Return (N, M, L) from a PQKC header."""
+    """Return (N, M, L) from a PQKC header whose payload holds exactly N records."""
     with open(path, "rb") as fh:
         magic, version, n, m, l_count = _CODE_HEADER.unpack(
             _read_exact(fh, _CODE_HEADER.size, path, "PQKC header")
         )
+        size = os.fstat(fh.fileno()).st_size - _CODE_HEADER.size
     if magic != b"PQKC":
         raise FormatError(f"{path}: bad magic {magic!r}, expected b'PQKC'")
     if version != FORMAT_VERSION:
         raise FormatError(f"{path}: unsupported PQKC version {version}")
     if m == 0 or not 2 <= l_count <= MAX_CODEWORDS:
         raise FormatError(f"{path}: invalid header fields M={m}, L={l_count}")
+    if size < n * m:
+        raise FormatError(
+            f"{path}: truncated record {size // m} (header promises {n} records)"
+        )
+    if size > n * m:
+        raise FormatError(f"{path}: trailing bytes after {n} records")
     return n, m, l_count
 
 
@@ -236,17 +272,9 @@ def iter_codes(path, chunk_records: int = 262144) -> Iterator[np.ndarray]:
     n, m, l_count = read_codes_header(path)
     with open(path, "rb") as fh:
         fh.seek(_CODE_HEADER.size)
-        index = 0
-        while index < n:
-            take = min(chunk_records, n - index)
-            raw = fh.read(take * m)
-            count, tail = divmod(len(raw), m)
-            if count < take:
-                raise FormatError(
-                    f"{path}: truncated record {index + count} "
-                    f"(header promises {n} records)"
-                )
-            chunk = np.frombuffer(raw, dtype=np.uint8).reshape(count, m)
+        for index in range(0, n, chunk_records):
+            raw = fh.read(m * min(chunk_records, n - index))
+            chunk = np.frombuffer(raw, dtype=np.uint8).reshape(-1, m)
             if chunk.max(initial=0) >= l_count:
                 flat = int(np.argmax(chunk >= l_count))
                 raise FormatError(
@@ -254,17 +282,12 @@ def iter_codes(path, chunk_records: int = 262144) -> Iterator[np.ndarray]:
                     f"{chunk.ravel()[flat]}, must be below L={l_count}"
                 )
             yield chunk.copy()
-            index += count
-        if fh.read(1):
-            raise FormatError(f"{path}: trailing bytes after {n} records")
 
 
 def read_codes(path) -> tuple[np.ndarray, int, int]:
     """Load a PQKC file. Returns (codes of shape (N, M), M, L)."""
     n, m, l_count = read_codes_header(path)
-    chunks = list(iter_codes(path))
-    codes = np.concatenate(chunks, axis=0) if chunks else np.empty((0, m), np.uint8)
-    return codes, m, l_count
+    return _fill(np.empty((n, m), dtype=np.uint8), iter_codes(path)), m, l_count
 
 
 # ---------------------------------------------------------------------------

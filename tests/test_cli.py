@@ -77,6 +77,22 @@ class TestSynth:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_failed_write_keeps_previous_files(self, tmp_path, monkeypatch):
+        data, truth = tmp_path / "data.fvecs", tmp_path / "truth.bin"
+        args = ["synth", "--out", str(data), "--labels-out", str(truth),
+                "--n", "50", "--dim", "4", "--clusters", "3"]
+        assert cli.main(args + ["--seed", "9"]) == 0
+        before = {p: p.read_bytes() for p in (data, truth)}
+
+        def fail_partway(path, labels):
+            path.write_bytes(b"\x00" * 8)
+            raise OSError(f"{path}: device full")
+
+        monkeypatch.setattr(io, "write_labels", fail_partway)
+        assert cli.main(args + ["--seed", "10"]) == 1
+        assert {p: p.read_bytes() for p in (data, truth)} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.fvecs", "truth.bin"]
+
 
 class TestPipeline:
     def test_artifacts(self, pipeline):
@@ -305,7 +321,11 @@ class TestBench:
             assert (row["m"], row["l"]) == ("4", "16")
             assert float(row["naive_update_seconds"]) >= 0.0
             assert 1.0 <= float(row["mean_histogram_nnz"]) <= 16.0
-        assert rows[4]["bits"] == "8"
+            assert row["bits"] == ""
+        for row in rows[2:]:
+            for column in ("m", "l", "naive_update_seconds", "mean_histogram_nnz"):
+                assert row[column] == "", (row["method"], column)
+        assert [r["bits"] for r in rows[2:]] == ["", "", "8", "8"]
 
     def test_rejects_unknown_method(self, pipeline, capsys):
         code = cli.main([
@@ -329,6 +349,46 @@ class TestDiagnostics:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "not divisible" in err
+
+    def test_failed_codebook_write_keeps_previous_codebook(
+        self, pipeline, tmp_path, monkeypatch, capsys
+    ):
+        book = tmp_path / "book.pqcb"
+        book.write_bytes(pipeline["book"].read_bytes())
+        write_codebook = io.write_codebook
+
+        def fail_partway(path, codebook):
+            write_codebook(path, codebook)
+            with open(path, "r+b") as fh:
+                fh.truncate(path.stat().st_size // 2)
+            raise OSError(f"{path}: device full")
+
+        monkeypatch.setattr(io, "write_codebook", fail_partway)
+        code = cli.main([
+            "train-codebook", "--train", str(pipeline["data"]), "--out", str(book),
+            "--m", "4", "--l", "16", "--iterations", "2", "--seed", "5",
+        ])
+        assert code == 1
+        assert "device full" in capsys.readouterr().err
+        assert book.read_bytes() == pipeline["book"].read_bytes()
+        assert [p.name for p in tmp_path.iterdir()] == ["book.pqcb"]
+
+    # 9 records of dimension 6 fill 252 bytes, exactly 7 records of the
+    # codebook's dimension 8, so the file size alone cannot tell them apart;
+    # 10 records fill 280 bytes, which no dimension-8 file has.
+    @pytest.mark.parametrize("records", [9, 10])
+    def test_encode_dimension_mismatch_names_both(self, pipeline, tmp_path, capsys, records):
+        data = tmp_path / "six.fvecs"
+        io.write_fvecs(data, np.zeros((records, 6), dtype=np.float32))
+        out = tmp_path / "codes.pqkc"
+        code = cli.main([
+            "encode", "--codebook", str(pipeline["book"]),
+            "--data", str(data), "--out", str(out),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{data}: vectors have dimension 6, codebook expects 8" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["six.fvecs"]
 
     def test_missing_input_file(self, tmp_path, capsys):
         code = cli.main([

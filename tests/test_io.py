@@ -224,6 +224,42 @@ class TestCodes:
         assert list(tmp_path.iterdir()) == [path]
 
 
+class TestWholeFileReaders:
+    """The whole-file readers against their streams, past one default chunk."""
+
+    def test_vector_files_longer_than_one_chunk(self, tmp_path):
+        # 65,541 records: one full 65,536-record chunk and a short one.
+        values = np.arange(65_541, dtype=np.float32).reshape(-1, 1) % 251
+        cases = (
+            (write_fvecs, read_fvecs, iter_fvecs, "x.fvecs"),
+            (write_bvecs, read_bvecs, iter_bvecs, "x.bvecs"),
+        )
+        for write, read, stream, name in cases:
+            path = tmp_path / name
+            write(path, values)
+            whole = read(path)
+            assert whole.dtype == np.float32
+            assert whole.shape == (65_541, 1)
+            assert whole.tobytes() == np.concatenate(list(stream(path))).tobytes()
+            path.write_bytes(path.read_bytes() + b"\x01\x00\x00\x00")
+            with pytest.raises(FormatError, match="truncated record 65541$"):
+                read(path)
+
+    def test_codes_longer_than_one_chunk(self, tmp_path):
+        # 262,149 records: one full 262,144-record chunk and a short one.
+        rng = np.random.default_rng(8)
+        codes = rng.integers(0, 200, size=(262_149, 2), dtype=np.uint8)
+        path = tmp_path / "codes.pqkc"
+        write_codes(path, codes, 200)
+        back, m, l_count = read_codes(path)
+        assert (m, l_count) == (2, 200)
+        assert back.tobytes() == np.concatenate(list(iter_codes(path))).tobytes()
+        assert back.tobytes() == codes.tobytes()
+        path.write_bytes(path.read_bytes()[:-3])
+        with pytest.raises(FormatError, match=r"truncated record 262147 \(header promises 262149"):
+            read_codes(path)
+
+
 @pytest.mark.parametrize("chunk_records", [0, -1])
 def test_stream_readers_reject_nonpositive_chunks(tmp_path, chunk_records):
     write_fvecs(tmp_path / "x.fvecs", np.zeros((3, 2), dtype=np.float32))
