@@ -28,6 +28,7 @@ from .clustering import (
     assign,
     build_histogram,
     estimate_memory,
+    estimate_working_set,
     fit,
     init_centers,
     pq_cost,
@@ -67,6 +68,7 @@ __all__ = [
     "decode",
     "encode",
     "estimate_memory",
+    "estimate_working_set",
     "fit",
     "hamming_to_centers",
     "init_centers",

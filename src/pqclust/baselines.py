@@ -31,6 +31,9 @@ _BYTES = np.arange(256, dtype=np.uint8)
 # Row v holds the bits of byte v, most significant first, as in packbits.
 _BYTE_BITS = np.unpackbits(_BYTES[:, None], axis=1)
 
+# Rows per projection block of binarize.
+_BINARIZE_ROWS = 8192
+
 
 def kmeans_fit(
     vectors: np.ndarray,
@@ -158,15 +161,20 @@ def binarize(binarizer: Binarizer, vectors: np.ndarray) -> np.ndarray:
         Packed uint8 codes of shape (B/8,) or (N, B/8). Bit b lives in
         byte b // 8 at MSB-first position b % 8.
     """
-    arr = np.asarray(vectors, dtype=np.float32)
+    arr = np.asarray(vectors)
     single = arr.ndim == 1
     arr = np.atleast_2d(arr)
     if arr.shape[1] != binarizer.dim:
         raise ValueError(
             f"vectors have dimension {arr.shape[1]}, binarizer expects {binarizer.dim}"
         )
-    projection = arr.astype(np.float64) @ binarizer.rotation
-    packed = np.packbits((projection >= 0).astype(np.uint8), axis=1)
+    packed = np.empty((len(arr), binarizer.bits // 8), dtype=np.uint8)
+    # One block of rows at a time is cast to float32, then float64, and
+    # projected: no N-sized float64 array.
+    for a in range(0, len(arr), _BINARIZE_ROWS):
+        block = np.asarray(arr[a : a + _BINARIZE_ROWS], dtype=np.float32)
+        projection = block.astype(np.float64) @ binarizer.rotation
+        packed[a : a + _BINARIZE_ROWS] = np.packbits(projection >= 0, axis=1)
     return packed[0] if single else packed
 
 

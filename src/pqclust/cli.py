@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -50,8 +51,12 @@ def derive_seed(seed: int, stage: str) -> int:
     return int(np.random.SeedSequence([seed, _STAGE_IDS[stage]]).generate_state(1)[0])
 
 
-def _add_seed_and_threads(parser: argparse.ArgumentParser) -> None:
+def _add_seed(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+
+
+def _add_seed_and_threads(parser: argparse.ArgumentParser) -> None:
+    _add_seed(parser)
     parser.add_argument(
         "--threads",
         type=int,
@@ -79,7 +84,7 @@ def _add_method_inputs(parser: argparse.ArgumentParser) -> None:
 def _check_common(args: argparse.Namespace) -> None:
     if args.seed < 0:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
-    if args.threads < 1:
+    if getattr(args, "threads", 1) < 1:
         raise ValueError(f"--threads must be positive, got {args.threads}")
 
 
@@ -110,10 +115,11 @@ def cmd_train_codebook(args: argparse.Namespace) -> int:
         args.l,
         iterations=args.iterations,
         seed=derive_seed(args.seed, "codebook"),
+        threads=args.threads,
     )
     with io.staged(args.out) as (temp,):
         io.write_codebook(temp, codebook)
-    reconstructed = pq.decode(codebook, pq.encode(codebook, train))
+    reconstructed = pq.decode(codebook, pq.encode(codebook, train, threads=args.threads))
     mse = float(
         np.mean(np.sum((train.astype(np.float64) - reconstructed) ** 2, axis=1))
     )
@@ -140,33 +146,62 @@ def cmd_encode(args: argparse.Namespace) -> int:
     ) as writer:
         for i, chunk in enumerate(io.iter_fvecs(args.data, _ENCODE_CHUNK)):
             pq._check_finite(chunk, f"{args.data}: vectors", i * _ENCODE_CHUNK)
-            writer.write(pq.encode(codebook, chunk))
+            writer.write(pq.encode(codebook, chunk, threads=args.threads))
     print(f"encoded {n} vectors into {args.out}")
     return 0
 
 
-def _load_binary_input(args: argparse.Namespace) -> np.ndarray:
-    if args.binary_codes:
-        packed, _ = io.read_binary_codes(args.binary_codes)
-        return packed
-    if not args.data or not args.bits:
-        raise ValueError(
-            "method bkmeans needs --binary-codes, or --data with --bits"
+class _Inputs:
+    """The input files of one cluster or bench run, each read at most once."""
+
+    def __init__(self, args: argparse.Namespace) -> None:
+        self._args = args
+
+    @functools.cached_property
+    def vectors(self) -> np.ndarray:
+        return io.read_fvecs(self._args.data)
+
+    @functools.cached_property
+    def codes(self) -> tuple[np.ndarray, int, pq.DistanceTables]:
+        """(codes, L, distance tables) of --codes and --codebook."""
+        args = self._args
+        codes, m, l_count = io.read_codes(args.codes)
+        codebook = io.read_codebook(args.codebook)
+        if codebook.num_subspaces != m or codebook.num_codewords != l_count:
+            raise ValueError(
+                f"{args.codebook} (M={codebook.num_subspaces}, "
+                f"L={codebook.num_codewords}) does not match {args.codes} "
+                f"(M={m}, L={l_count})"
+            )
+        return codes, l_count, pq.build_distance_tables(codebook)
+
+    @functools.cached_property
+    def packed(self) -> np.ndarray:
+        """Packed binary codes, read from --binary-codes or binarized from --data."""
+        args = self._args
+        if args.binary_codes:
+            return io.read_binary_codes(args.binary_codes)[0]
+        if not args.data or not args.bits:
+            raise ValueError(
+                "method bkmeans needs --binary-codes, or --data with --bits"
+            )
+        # Vectors read only to be binarized are not kept for the fit.
+        vectors = self.__dict__.get("vectors")
+        if vectors is None:
+            vectors = io.read_fvecs(args.data)
+        binarizer = baselines.train_binarizer(
+            vectors.shape[1], args.bits, derive_seed(args.seed, "binarize")
         )
-    vectors = io.read_fvecs(args.data)
-    binarizer = baselines.train_binarizer(
-        vectors.shape[1], args.bits, derive_seed(args.seed, "binarize")
-    )
-    packed = baselines.binarize(binarizer, vectors)
-    if args.binary_codes_out:
-        with io.staged(args.binary_codes_out) as (temp,):
-            io.write_binary_codes(temp, packed)
-        print(f"wrote binary codes to {args.binary_codes_out}")
-    return packed
+        packed = baselines.binarize(binarizer, vectors)
+        if args.binary_codes_out:
+            with io.staged(args.binary_codes_out) as (temp,):
+                io.write_binary_codes(temp, packed)
+            print(f"wrote binary codes to {args.binary_codes_out}")
+        return packed
 
 
-def _run_method(args: argparse.Namespace, method: str, k: int):
-    """Run one clustering method.
+def _run_method(args: argparse.Namespace, inputs: _Inputs, method: str, k: int):
+    """Run one clustering method on the run's inputs.
 
     Returns (result, row dict for bench, centers file name, centers writer):
     the writer takes the path to write the result's centers to.
@@ -180,15 +215,8 @@ def _run_method(args: argparse.Namespace, method: str, k: int):
     if method == "pqkmeans":
         if not args.codes or not args.codebook:
             raise ValueError("method pqkmeans needs --codes and --codebook")
-        codes, m, l_count = io.read_codes(args.codes)
-        codebook = io.read_codebook(args.codebook)
-        if codebook.num_subspaces != m or codebook.num_codewords != l_count:
-            raise ValueError(
-                f"{args.codebook} (M={codebook.num_subspaces}, "
-                f"L={codebook.num_codewords}) does not match {args.codes} "
-                f"(M={m}, L={l_count})"
-            )
-        tables = pq.build_distance_tables(codebook)
+        codes, l_count, tables = inputs.codes
+        m = codes.shape[1]
         result = clustering.fit(codes, tables, k, update=args.update, **fit_args)
         nnz = [
             s.mean_histogram_nnz for s in result.trace if s.mean_histogram_nnz is not None
@@ -213,7 +241,7 @@ def _run_method(args: argparse.Namespace, method: str, k: int):
     if method == "kmeans":
         if not args.data:
             raise ValueError("method kmeans needs --data")
-        vectors = io.read_fvecs(args.data)
+        vectors = inputs.vectors
         result = baselines.kmeans_fit(vectors, k, **fit_args)
         dim = vectors.shape[1]
         row.update(n=len(vectors), memory_bytes=4.0 * dim * (len(vectors) + k) + 4.0 * len(vectors))
@@ -221,7 +249,7 @@ def _run_method(args: argparse.Namespace, method: str, k: int):
             path, result.centers.astype(np.float32)
         )
     if method == "bkmeans":
-        packed = _load_binary_input(args)
+        packed = inputs.packed
         result = baselines.bkmeans_fit(packed, k, **fit_args)
         bits = 8 * packed.shape[1]
         row.update(
@@ -258,7 +286,9 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         raise ValueError(f"--max-iterations must be positive, got {args.max_iterations}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    result, row, centers_name, write_centers = _run_method(args, args.method, args.k)
+    result, row, centers_name, write_centers = _run_method(
+        args, _Inputs(args), args.method, args.k
+    )
 
     labels_path = out_dir / "labels.bin"
     centers_path = out_dir / centers_name
@@ -293,15 +323,15 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     }
 
     # All four artifacts are staged together and moved into place only
-    # after the labels read back, so a failed run leaves the previous
-    # run's artifacts whole.
+    # after the labels file holds all N labels, so a failed run leaves the
+    # previous run's artifacts whole.
     with io.staged(labels_path, centers_path, trace_path, result_path) as temps:
         labels_temp, centers_temp, trace_temp, result_temp = temps
         io.write_labels(labels_temp, result.labels)
         write_centers(centers_temp)
         _write_trace_csv(trace_temp, result.trace)
         io.save_result_document(result_temp, document)
-        if len(io.read_labels(labels_temp)) != int(row["n"]):
+        if labels_temp.stat().st_size != 4 * int(row["n"]):
             raise ValueError(f"{labels_path}: written labels failed validation")
     print(
         f"{args.method}: n={row['n']} k={args.k} "
@@ -354,11 +384,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise ValueError("--methods and --k-grid must be non-empty")
     if any(k < 1 for k in k_grid):
         raise ValueError(f"--k-grid entries must be positive, got {k_grid}")
-    eval_vectors = io.read_fvecs(args.data) if args.data else None
+    inputs = _Inputs(args)
+    eval_vectors = inputs.vectors if args.data else None
     rows = []
     for method in methods:
         for k in k_grid:
-            result, row, _, _ = _run_method(args, method, k)
+            result, row, _, _ = _run_method(args, inputs, method, k)
             row.update(
                 iterations_run=result.iterations_run,
                 converged=result.converged,
@@ -395,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, required=True, help="dimensionality")
     p.add_argument("--clusters", type=int, required=True, help="mixture components")
     p.add_argument("--spread", type=float, default=0.05, help="component stddev")
-    _add_seed_and_threads(p)
+    _add_seed(p)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train-codebook", help="train per-subspace codewords")

@@ -19,7 +19,7 @@ import numpy as np
 from scipy import sparse
 
 # IterationStats is imported so that callers can still name it here.
-from .lloyd import _BLOCK_ELEMENTS, ClusteringResult, IterationStats, _lloyd
+from .lloyd import _BLOCK_ELEMENTS, _CHUNK_ROWS, ClusteringResult, IterationStats, _lloyd
 from .lloyd import _range_runner, _squared_objectives
 from .pq import DistanceTables, _validate_codes, paired_distance_sq
 
@@ -108,12 +108,27 @@ def update_center_sparse(
     return center
 
 
+def _joint_dtype(k: int, num_codewords: int) -> type:
+    """Index type of the K·L joint (cluster, subindex) bins."""
+    return np.uint32 if k * num_codewords < 2**32 else np.uint64
+
+
 def _member_histograms(codes, labels, k, num_codewords) -> Iterator[np.ndarray]:
     """Yield each subspace's (K, L) member histogram: row k counts the
-    subindices of the codes labeled k."""
-    joint = labels.astype(np.intp) * num_codewords
+    subindices of the codes labeled k.
+
+    The joint index label * L + subindex is built one chunk of rows at a
+    time; integer counts sum exactly, so the chunking cannot change them.
+    """
+    joint_dtype = _joint_dtype(k, num_codewords)
     for column in codes.T:
-        yield np.bincount(joint + column, minlength=k * num_codewords).reshape(k, -1)
+        hist = np.zeros(k * num_codewords, dtype=np.intp)
+        for a in range(0, len(labels), _CHUNK_ROWS):
+            joint = labels[a : a + _CHUNK_ROWS].astype(joint_dtype)
+            joint *= num_codewords
+            joint += column[a : a + _CHUNK_ROWS]
+            np.add.at(hist, joint, 1)
+        yield hist.reshape(k, -1)
 
 
 def _histogram_product(histogram: np.ndarray, matrix: np.ndarray) -> np.ndarray:
@@ -515,3 +530,37 @@ def estimate_memory(n: int, k: int, num_subspaces: int, num_codewords: int) -> M
         tables_bytes=4.0 * num_codewords**2 * num_subspaces,
         assignment_bytes=4.0 * n,
     )
+
+
+def estimate_working_set(
+    n: int, k: int, num_subspaces: int, num_codewords: int, threads: int = 1
+) -> int:
+    """Bytes that fit holds at its peak, counted from the arrays it allocates.
+
+    Unlike estimate_memory's cost model, this is what a fit of N uint8
+    codes into K clusters holds at once:
+
+    * the codes, M bytes per point;
+    * the uint32 labels, 4 bytes per point;
+    * dists, each point's float64 squared distance to its center, kept for
+      the whole run: 8 bytes per point;
+    * the objective's np.sqrt(dists), 8 bytes per point; it is the largest
+      temporary of an iteration and sets the peak;
+    * two float64 scan blocks of max(2**16, K) elements per thread;
+    * the float64 distance tables, M * L * L * 8 bytes, and the center
+      columns the scan gathers from, M * L * K * 8 bytes.
+
+    Every other pass over the N points holds one fixed-size chunk of
+    scratch. Pure arithmetic, no allocation.
+    """
+    if n < 0 or k < 0:
+        raise ValueError(f"n and k must be non-negative, got n={n}, k={k}")
+    if num_subspaces < 1 or num_codewords < 2 or threads < 1:
+        raise ValueError(
+            f"need M >= 1, L >= 2 and threads >= 1, got M={num_subspaces}, "
+            f"L={num_codewords}, threads={threads}"
+        )
+    per_point = num_subspaces + 4 + 8 + 8
+    scratch = 2 * 8 * max(_BLOCK_ELEMENTS, k) * max(1, min(threads, n))
+    tables = 8 * num_subspaces * num_codewords * (num_codewords + k)
+    return per_point * n + scratch + tables

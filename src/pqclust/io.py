@@ -15,10 +15,14 @@ All formats are little-endian regardless of platform:
 
 Readers validate as they go and name the offending record in every
 diagnostic. The iter_* variants stream fixed-size chunks and never
-allocate proportional to the file size; the whole-file readers learn
-(N, D) or (N, M) first and fill one preallocated array from that stream.
-`staged` gives writers a temporary path beside each target and moves
-them into place only when every write succeeded.
+allocate proportional to the file size. The whole-file readers learn the
+array's shape from the header or the file size first and read into that
+one preallocated array: a file whose records hold nothing but payload is
+read straight into it, an fvecs/bvecs file one chunk at a time through
+one reused buffer. Writers write from the array, one converted chunk at a
+time where the file's records differ from it. `staged` gives writers a
+temporary path beside each target and moves them into place only when
+every write succeeded.
 """
 
 from __future__ import annotations
@@ -45,11 +49,33 @@ class FormatError(ValueError):
     """A file does not conform to its declared format."""
 
 
+# Records per chunk of the whole-file readers and of the writers.
+_CHUNK_RECORDS = 65536
+
+
 def _read_exact(fh, count: int, path, what: str) -> bytes:
     raw = fh.read(count)
     if len(raw) != count:
         raise FormatError(f"{path}: truncated {what} ({len(raw)} of {count} bytes)")
     return raw
+
+
+def _read_into(fh, out: np.ndarray, path, what: str) -> None:
+    """Fill the contiguous array `out` with the next bytes of fh."""
+    view = memoryview(out.reshape(-1).view(np.uint8))
+    got = 0
+    while got < len(view):
+        count = fh.readinto(view[got:])
+        if not count:
+            raise FormatError(f"{path}: truncated {what} ({got} of {len(view)} bytes)")
+        got += count
+
+
+def _write_rows(fh, rows: np.ndarray, dtype) -> None:
+    """Write rows as dtype, one chunk at a time; a chunk is cast only when
+    its dtype or layout differs, so no whole-array copy is made."""
+    for a in range(0, len(rows), _CHUNK_RECORDS):
+        fh.write(np.ascontiguousarray(rows[a : a + _CHUNK_RECORDS], dtype=dtype))
 
 
 @contextlib.contextmanager
@@ -68,15 +94,6 @@ def staged(*paths) -> Iterator[list[Path]]:
     finally:
         for temp in temps:
             temp.unlink(missing_ok=True)
-
-
-def _fill(out: np.ndarray, chunks: Iterator[np.ndarray]) -> np.ndarray:
-    """Copy a stream of row chunks into the preallocated array `out`."""
-    start = 0
-    for chunk in chunks:
-        out[start : start + len(chunk)] = chunk
-        start += len(chunk)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -107,60 +124,83 @@ def fvecs_shape(path) -> tuple[int, int]:
     return _vecs_layout(path, 4)[:2]
 
 
-def _iter_vec_records(
-    path, component_bytes: int, chunk_records: int
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (dim, payload byte block) per chunk of whole records."""
+def _vec_record(component: str, dim: int) -> np.dtype:
+    """One packed fvecs/bvecs record: int32 dimension, then dim components."""
+    return np.dtype([("dim", "<i4"), ("x", component, (dim,))])
+
+
+def _vec_chunks(path, component: str, chunk_records: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (first record index, (n_i, D) component view) per chunk of
+    whole records. Every view is into one reused buffer and holds only
+    until the next chunk is read."""
     if chunk_records < 1:
         raise ValueError(f"chunk_records must be positive, got {chunk_records}")
-    n, dim, record_bytes = _vecs_layout(path, component_bytes)
+    n, dim, _ = _vecs_layout(path, np.dtype(component).itemsize)
+    if n == 0:
+        return
+    buffer = np.empty(min(chunk_records, n), dtype=_vec_record(component, dim))
     with open(path, "rb") as fh:
         for index in range(0, n, chunk_records):
-            raw = fh.read(record_bytes * min(chunk_records, n - index))
-            block = np.frombuffer(raw, dtype=np.uint8).reshape(-1, record_bytes)
-            dims = block[:, :4].copy().view("<i4").ravel()
+            block = buffer[: min(chunk_records, n - index)]
+            _read_into(fh, block, path, f"record {index}")
+            dims = block["dim"]
             if not np.all(dims == dim):
                 bad = int(np.argmax(dims != dim))
                 raise FormatError(
                     f"{path}: record {index + bad} declares dimension "
                     f"{dims[bad]}, expected {dim}"
                 )
-            yield dim, block[:, 4:]
+            yield index, block["x"]
 
 
-def iter_fvecs(path, chunk_records: int = 65536) -> Iterator[np.ndarray]:
+def _read_vecs(path, component: str) -> np.ndarray:
+    """A whole fvecs/bvecs file as float32, copied chunk by chunk into the result."""
+    out = np.empty(_vecs_layout(path, np.dtype(component).itemsize)[:2], dtype=np.float32)
+    for index, vectors in _vec_chunks(path, component, _CHUNK_RECORDS):
+        out[index : index + len(vectors)] = vectors
+    return out
+
+
+def _write_vecs(path, data: np.ndarray, component: str) -> None:
+    """Write (N, D) rows as fvecs/bvecs records through one chunk-sized buffer."""
+    n, dim = data.shape
+    buffer = np.empty(min(n, _CHUNK_RECORDS), dtype=_vec_record(component, dim))
+    buffer["dim"] = dim
+    with open(path, "wb") as fh:
+        for a in range(0, n, _CHUNK_RECORDS):
+            block = buffer[: min(_CHUNK_RECORDS, n - a)]
+            block["x"] = data[a : a + _CHUNK_RECORDS]
+            fh.write(block)
+
+
+def iter_fvecs(path, chunk_records: int = _CHUNK_RECORDS) -> Iterator[np.ndarray]:
     """Stream an fvecs file as float32 chunks of shape (n_i, D)."""
-    for dim, payload in _iter_vec_records(path, 4, chunk_records):
-        yield payload.copy().view("<f4").reshape(-1, dim)
+    for _, vectors in _vec_chunks(path, "<f4", chunk_records):
+        yield vectors.astype(np.float32)
 
 
 def read_fvecs(path) -> np.ndarray:
     """Load a whole fvecs file as a float32 array of shape (N, D)."""
-    return _fill(np.empty(fvecs_shape(path), dtype=np.float32), iter_fvecs(path))
+    return _read_vecs(path, "<f4")
 
 
 def write_fvecs(path, vectors: np.ndarray) -> None:
     """Write float32 vectors of shape (N, D) as an fvecs file."""
-    data = np.ascontiguousarray(vectors, dtype="<f4")
+    data = np.asarray(vectors)
     if data.ndim != 2 or data.shape[1] == 0:
         raise ValueError(f"vectors must have shape (N, D), D >= 1, got {data.shape}")
-    n, dim = data.shape
-    out = np.empty((n, dim + 1), dtype="<f4")
-    out[:, 0] = np.full(n, dim, dtype="<i4").view("<f4")
-    out[:, 1:] = data
-    with open(path, "wb") as fh:
-        fh.write(out.tobytes())
+    _write_vecs(path, data, "<f4")
 
 
-def iter_bvecs(path, chunk_records: int = 65536) -> Iterator[np.ndarray]:
+def iter_bvecs(path, chunk_records: int = _CHUNK_RECORDS) -> Iterator[np.ndarray]:
     """Stream a bvecs file as float32 chunks (byte components widened)."""
-    for dim, payload in _iter_vec_records(path, 1, chunk_records):
-        yield payload.astype(np.float32).reshape(-1, dim)
+    for _, vectors in _vec_chunks(path, "u1", chunk_records):
+        yield vectors.astype(np.float32)
 
 
 def read_bvecs(path) -> np.ndarray:
     """Load a whole bvecs file, widened to float32."""
-    return _fill(np.empty(_vecs_layout(path, 1)[:2], dtype=np.float32), iter_bvecs(path))
+    return _read_vecs(path, "u1")
 
 
 def write_bvecs(path, vectors: np.ndarray) -> None:
@@ -171,13 +211,7 @@ def write_bvecs(path, vectors: np.ndarray) -> None:
     rounded = np.rint(data)
     if not np.array_equal(rounded, data) or data.min(initial=0) < 0 or data.max(initial=0) > 255:
         raise ValueError("bvecs components must be integers in [0, 255]")
-    n, dim = data.shape
-    payload = rounded.astype(np.uint8)
-    out = np.empty((n, 4 + dim), dtype=np.uint8)
-    out[:, :4] = np.full(n, dim, dtype="<i4").view(np.uint8).reshape(n, 4)
-    out[:, 4:] = payload
-    with open(path, "wb") as fh:
-        fh.write(out.tobytes())
+    _write_vecs(path, data, "u1")
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +229,7 @@ def write_codes(path, codes: np.ndarray, num_codewords: int) -> None:
     n, m = arr.shape
     with open(path, "wb") as fh:
         fh.write(_CODE_HEADER.pack(b"PQKC", FORMAT_VERSION, n, m, num_codewords))
-        fh.write(arr.astype(np.uint8).tobytes())
+        _write_rows(fh, arr, np.uint8)
 
 
 class CodesWriter:
@@ -223,7 +257,7 @@ class CodesWriter:
         arr = np.asarray(codes)
         if arr.ndim != 2 or arr.shape[1] != self._m:
             raise ValueError(f"chunk must have shape (n, {self._m}), got {arr.shape}")
-        self._fh.write(_validate_codes(arr, self._m, self._l).astype(np.uint8).tobytes())
+        _write_rows(self._fh, _validate_codes(arr, self._m, self._l), np.uint8)
         self._written += len(arr)
 
     def close(self) -> None:
@@ -265,29 +299,39 @@ def read_codes_header(path) -> tuple[int, int, int]:
     return n, m, l_count
 
 
-def iter_codes(path, chunk_records: int = 262144) -> Iterator[np.ndarray]:
-    """Stream a PQKC file as uint8 chunks of shape (n_i, M)."""
+def _code_chunks(path, chunk_records: int, out: np.ndarray | None = None) -> Iterator[np.ndarray]:
+    """Read a PQKC payload one validated chunk at a time, each straight
+    into its rows of `out`, or into a fresh array when out is None."""
     if chunk_records < 1:
         raise ValueError(f"chunk_records must be positive, got {chunk_records}")
     n, m, l_count = read_codes_header(path)
     with open(path, "rb") as fh:
         fh.seek(_CODE_HEADER.size)
         for index in range(0, n, chunk_records):
-            raw = fh.read(m * min(chunk_records, n - index))
-            chunk = np.frombuffer(raw, dtype=np.uint8).reshape(-1, m)
+            rows = min(chunk_records, n - index)
+            chunk = np.empty((rows, m), np.uint8) if out is None else out[index : index + rows]
+            _read_into(fh, chunk, path, f"record {index}")
             if chunk.max(initial=0) >= l_count:
                 flat = int(np.argmax(chunk >= l_count))
                 raise FormatError(
                     f"{path}: record {index + flat // m} holds subindex "
                     f"{chunk.ravel()[flat]}, must be below L={l_count}"
                 )
-            yield chunk.copy()
+            yield chunk
+
+
+def iter_codes(path, chunk_records: int = 262144) -> Iterator[np.ndarray]:
+    """Stream a PQKC file as uint8 chunks of shape (n_i, M)."""
+    return _code_chunks(path, chunk_records)
 
 
 def read_codes(path) -> tuple[np.ndarray, int, int]:
     """Load a PQKC file. Returns (codes of shape (N, M), M, L)."""
     n, m, l_count = read_codes_header(path)
-    return _fill(np.empty((n, m), dtype=np.uint8), iter_codes(path)), m, l_count
+    codes = np.empty((n, m), dtype=np.uint8)
+    for _ in _code_chunks(path, 262144, codes):
+        pass
+    return codes, m, l_count
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +381,7 @@ def write_binary_codes(path, packed: np.ndarray) -> None:
     _validate_codes(arr, arr.shape[1], 256)
     with open(path, "wb") as fh:
         fh.write(_BINARY_HEADER.pack(b"PQKB", 8 * arr.shape[1], len(arr)))
-        fh.write(arr.astype(np.uint8).tobytes())
+        _write_rows(fh, arr, np.uint8)
 
 
 def read_binary_codes(path) -> tuple[np.ndarray, int]:
@@ -350,10 +394,16 @@ def read_binary_codes(path) -> tuple[np.ndarray, int]:
             raise FormatError(f"{path}: bad magic {magic!r}, expected b'PQKB'")
         if bits == 0 or bits % 8 != 0:
             raise FormatError(f"{path}: bit count {bits} is not a positive multiple of 8")
-        payload = _read_exact(fh, n * (bits // 8), path, "PQKB payload")
-        if fh.read(1):
+        size = os.fstat(fh.fileno()).st_size - _BINARY_HEADER.size
+        if size < n * (bits // 8):
+            raise FormatError(
+                f"{path}: truncated PQKB payload ({size} of {n * (bits // 8)} bytes)"
+            )
+        if size > n * (bits // 8):
             raise FormatError(f"{path}: trailing bytes after {n} records")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(n, bits // 8).copy(), bits
+        packed = np.empty((n, bits // 8), dtype=np.uint8)
+        _read_into(fh, packed, path, "PQKB payload")
+    return packed, bits
 
 
 # ---------------------------------------------------------------------------
@@ -370,15 +420,18 @@ def write_labels(path, labels: np.ndarray) -> None:
     if arr.size and (arr.min() < 0 or arr.max() > np.iinfo(np.uint32).max):
         raise ValueError("labels must fit in uint32")
     with open(path, "wb") as fh:
-        fh.write(np.ascontiguousarray(arr, dtype="<u4").tobytes())
+        _write_rows(fh, arr, "<u4")
 
 
 def read_labels(path) -> np.ndarray:
     """Load a bare uint32 label array."""
-    raw = Path(path).read_bytes()
-    if len(raw) % 4:
-        raise FormatError(f"{path}: size {len(raw)} is not a multiple of 4")
-    return np.frombuffer(raw, dtype="<u4").copy()
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size % 4:
+            raise FormatError(f"{path}: size {size} is not a multiple of 4")
+        labels = np.empty(size // 4, dtype="<u4")
+        _read_into(fh, labels, path, "labels")
+    return labels
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,10 @@ from scipy.spatial.distance import cdist
 # across the M gathers of one block, where a larger block spills to memory.
 _BLOCK_ELEMENTS = 1 << 16
 
+# Rows per chunk of a counting pass over all N points: the pass holds one
+# chunk of index scratch, never an N-sized index array.
+_CHUNK_ROWS = 1 << 16
+
 
 @dataclass
 class IterationStats:
@@ -149,7 +153,7 @@ def _lloyd(codes, centers, max_iterations, threads, assign_step, update_all, obj
                 return ClusteringResult(centers, labels, trace, len(trace), True)
 
             start = time.perf_counter()
-            counts = np.bincount(labels.astype(np.intp), minlength=k)
+            counts = _chunked_counts(labels, k)
             centers, mean_nnz = update_all(codes, labels, counts)
             empty = np.flatnonzero(counts == 0)
             if len(empty):
@@ -163,6 +167,14 @@ def _lloyd(codes, centers, max_iterations, threads, assign_step, update_all, obj
             stats.mean_histogram_nnz = None if math.isnan(mean_nnz) else mean_nnz
             previous = objective
     return ClusteringResult(centers, labels, trace, len(trace), False)
+
+
+def _chunked_counts(labels: np.ndarray, k: int) -> np.ndarray:
+    """np.bincount(labels, minlength=k), one chunk of labels at a time."""
+    counts = np.zeros(k, dtype=np.intp)
+    for a in range(0, len(labels), _CHUNK_ROWS):
+        np.add.at(counts, labels[a : a + _CHUNK_ROWS], 1)
+    return counts
 
 
 def cluster_means(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:

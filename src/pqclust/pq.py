@@ -130,6 +130,8 @@ def train_codebook(
     num_codewords: int,
     iterations: int = 20,
     seed: int = 0,
+    *,
+    threads: int = 1,
 ) -> PQCodebook:
     """Train per-subspace codebooks with k-means.
 
@@ -151,6 +153,8 @@ def train_codebook(
         num_codewords: Codewords per subspace L, between 2 and 256.
         iterations: Lloyd iterations per subspace.
         seed: Seed for codeword initialization.
+        threads: Worker threads for the assignment scan. The codebook is
+            identical for every value.
 
     Returns:
         A PQCodebook with float32 codewords of shape (M, L, D // M).
@@ -180,13 +184,13 @@ def train_codebook(
         sub = vectors[:, m * sub_dim : (m + 1) * sub_dim]
         centers = sub[rng.choice(n, size=num_codewords, replace=False)].astype(np.float64)
         books[m] = _lloyd(
-            sub, centers, iterations, 1, partial(_kmeans_assign, sub),
+            sub, centers, iterations, threads, partial(_kmeans_assign, sub),
             _means_update_all, _squared_objectives,
         ).centers
     return PQCodebook(books)
 
 
-def encode(codebook: PQCodebook, vectors: np.ndarray) -> np.ndarray:
+def encode(codebook: PQCodebook, vectors: np.ndarray, *, threads: int = 1) -> np.ndarray:
     """Quantize vectors to PQ codes.
 
     Every sub-vector maps to the index of its nearest codeword by squared
@@ -197,6 +201,8 @@ def encode(codebook: PQCodebook, vectors: np.ndarray) -> np.ndarray:
         codebook: Trained codebook.
         vectors: One vector of shape (D,) or a batch of shape (N, D),
             finite.
+        threads: Worker threads for the scan. The codes are identical for
+            every value.
 
     Returns:
         uint8 codes, shape (M,) for a single vector or (N, M) for a batch.
@@ -211,7 +217,7 @@ def encode(codebook: PQCodebook, vectors: np.ndarray) -> np.ndarray:
     _check_finite(arr, "vectors")
     sub_dim = codebook.subspace_dim
     codes = np.empty((len(arr), codebook.num_subspaces), dtype=np.uint8)
-    with _range_runner(1, len(arr), codebook.num_codewords) as run:
+    with _range_runner(threads, len(arr), codebook.num_codewords) as run:
         for m in range(codebook.num_subspaces):
             sub = arr[:, m * sub_dim : (m + 1) * sub_dim]
             codewords = codebook.codewords[m].astype(np.float64)

@@ -20,6 +20,7 @@ from pqclust import (
     train_binarizer,
     unpack_bits,
 )
+from pqclust.baselines import _BINARIZE_ROWS
 from pqclust.clustering import _BLOCK_ELEMENTS
 from pqclust.io import generate_synthetic
 
@@ -244,6 +245,24 @@ class TestBinarizer:
         assert np.array_equal(binarize(bz, vectors[2]), batch[2])
         with pytest.raises(ValueError, match="dimension"):
             binarize(bz, np.zeros(9, dtype=np.float32))
+
+    def test_blocks_match_a_one_shot_projection(self):
+        # Two full blocks and a short one, float32 and float64 input, and a
+        # single vector: every row as one whole-array projection packs it.
+        bz = train_binarizer(32, 32, seed=14)
+        rng = np.random.default_rng(15)
+        vectors = rng.normal(size=(2 * _BINARIZE_ROWS + 37, 32))
+        reference = np.packbits(
+            (vectors.astype(np.float32).astype(np.float64) @ bz.rotation >= 0).astype(np.uint8),
+            axis=1,
+        )
+        for batch in (vectors.astype(np.float32), vectors):
+            packed = binarize(bz, batch)
+            assert packed.dtype == np.uint8
+            assert packed.tobytes() == reference.tobytes()
+        single = binarize(bz, vectors[_BINARIZE_ROWS + 3].astype(np.float32))
+        assert single.shape == (4,)
+        assert single.tobytes() == reference[_BINARIZE_ROWS + 3].tobytes()
 
     def test_unpack_round_trip(self):
         rng = np.random.default_rng(13)

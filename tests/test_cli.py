@@ -71,6 +71,12 @@ class TestSynth:
         assert a.read_bytes() != c.read_bytes()
         assert io.read_fvecs(a).shape == (50, 4)
 
+    def test_takes_no_threads_flag(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["synth", "--out", str(tmp_path / "x.fvecs"), "--n", "5",
+                      "--dim", "2", "--clusters", "1", "--threads", "2"])
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
     def test_rejects_bad_arguments(self, tmp_path, capsys):
         code = cli.main(["synth", "--out", str(tmp_path / "x.fvecs"),
                          "--n", "0", "--dim", "4", "--clusters", "2"])
@@ -188,6 +194,40 @@ class TestPipeline:
         assert run_cluster(pipeline, second) == 0
         assert (first / "labels.bin").read_bytes() == (second / "labels.bin").read_bytes()
         assert (first / "centers.pqkc").read_bytes() == (second / "centers.pqkc").read_bytes()
+
+    def test_threads_do_not_change_codebook_or_codes(self, pipeline, tmp_path):
+        outputs = []
+        for threads in ("1", "2", "8"):
+            book, codes = tmp_path / f"book{threads}.pqcb", tmp_path / f"codes{threads}.pqkc"
+            assert cli.main([
+                "train-codebook", "--train", str(pipeline["data"]), "--out", str(book),
+                "--m", "4", "--l", "16", "--iterations", "8", "--seed", "1",
+                "--threads", threads,
+            ]) == 0
+            assert cli.main([
+                "encode", "--codebook", str(book), "--data", str(pipeline["data"]),
+                "--out", str(codes), "--threads", threads,
+            ]) == 0
+            outputs.append((book.read_bytes(), codes.read_bytes()))
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0] == (pipeline["book"].read_bytes(), pipeline["codes"].read_bytes())
+
+    def test_labels_are_checked_by_file_size_not_read_back(self, pipeline, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        assert run_cluster(pipeline, out) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def no_read(path):
+            raise AssertionError(f"{path} read back")
+
+        monkeypatch.setattr(io, "read_labels", no_read)
+        assert run_cluster(pipeline, tmp_path / "again") == 0
+        assert (tmp_path / "again" / "labels.bin").read_bytes() == before["labels.bin"]
+
+        write_labels = io.write_labels
+        monkeypatch.setattr(io, "write_labels", lambda path, labels: write_labels(path, labels[:-1]))
+        assert run_cluster(pipeline, out, "--seed", "2") == 1
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_threads_do_not_change_results(self, pipeline, tmp_path):
         one = tmp_path / "one"
@@ -326,6 +366,29 @@ class TestBench:
             for column in ("m", "l", "naive_update_seconds", "mean_histogram_nnz"):
                 assert row[column] == "", (row["method"], column)
         assert [r["bits"] for r in rows[2:]] == ["", "", "8", "8"]
+
+    def test_reads_and_binarizes_each_input_once(self, pipeline, tmp_path, monkeypatch):
+        calls = {"read_fvecs": 0, "read_codes": 0, "binarize": 0}
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(io, "read_fvecs")
+        counted(io, "read_codes")
+        counted(baselines, "binarize")
+        assert cli.main([
+            "bench", "--methods", "pqkmeans,kmeans,bkmeans", "--k-grid", "5,10,20",
+            "--codes", str(pipeline["codes"]), "--codebook", str(pipeline["book"]),
+            "--data", str(pipeline["data"]), "--bits", "8", "--max-iterations", "3",
+            "--out", str(tmp_path / "bench.csv"), "--seed", "2",
+        ]) == 0
+        assert calls == {"read_fvecs": 1, "read_codes": 1, "binarize": 1}
 
     def test_rejects_unknown_method(self, pipeline, capsys):
         code = cli.main([

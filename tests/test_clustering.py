@@ -1,7 +1,10 @@
 """Unit tests for k-means on PQ codes."""
 
+import os
+import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from pqclust import (
     build_distance_tables,
     build_histogram,
     estimate_memory,
+    estimate_working_set,
     fit,
     init_centers,
     pq_cost,
@@ -19,7 +23,10 @@ from pqclust import (
     update_center_naive,
     update_center_sparse,
 )
-from pqclust.clustering import _assign_linear_scan, _sparse_update_all
+import pqclust
+from pqclust.clustering import _assign_linear_scan, _joint_dtype, _member_histograms
+from pqclust.clustering import _sparse_update_all
+from pqclust.lloyd import _CHUNK_ROWS, _chunked_counts
 
 
 def random_tables(m, l_count, seed=0, sub_dim=2):
@@ -54,6 +61,31 @@ class TestHistogram:
             build_histogram(np.zeros((2, 2), dtype=np.int64), 4)
         with pytest.raises(ValueError, match=r"\[0, 4\)"):
             build_histogram(np.array([0, 4]), 4)
+
+
+class TestChunkedCounts:
+    @pytest.mark.parametrize("n", [2 * _CHUNK_ROWS, 2 * _CHUNK_ROWS + 1])
+    def test_match_one_bincount_over_all_rows(self, n):
+        rng = np.random.default_rng(30)
+        k, l_count = 70, 16
+        labels = rng.integers(0, k, size=n).astype(np.uint32)
+        codes = rng.integers(0, l_count, size=(n, 3), dtype=np.uint8)
+        counts = _chunked_counts(labels, k)
+        assert counts.dtype == np.intp
+        assert np.array_equal(counts, np.bincount(labels, minlength=k))
+        hists = list(_member_histograms(codes, labels, k, l_count))
+        assert len(hists) == 3
+        for column, hist in zip(codes.T, hists):
+            joint = labels.astype(np.intp) * l_count + column
+            expected = np.bincount(joint, minlength=k * l_count).reshape(k, l_count)
+            assert hist.dtype == np.intp
+            assert np.array_equal(hist, expected)
+
+    def test_joint_index_widens_when_k_times_l_reaches_2_to_the_32(self):
+        assert _joint_dtype(2**24 - 1, 256) == np.uint32
+        assert _joint_dtype(2**24, 256) == np.uint64
+        assert _joint_dtype(2**32, 2) == np.uint64
+        assert _joint_dtype(100_000, 256) == np.uint32
 
 
 class TestCenterUpdates:
@@ -432,3 +464,65 @@ class TestMemoryEstimate:
             estimate_memory(1, 1, 0, 4)
         with pytest.raises(ValueError, match="num_codewords"):
             estimate_memory(1, 1, 2, 1)
+
+
+class TestWorkingSet:
+    def test_component_arithmetic(self):
+        # M=4: 4 bytes of codes, 4 of labels, 8 of dists, 8 of sqrt(dists).
+        per_point = 24
+        scratch = 2 * 8 * 2**16
+        tables = 8 * 4 * 256 * (256 + 100)
+        assert estimate_working_set(1000, 100, 4, 256) == 1000 * per_point + scratch + tables
+        assert (
+            estimate_working_set(1000, 100, 4, 256, threads=3)
+            - estimate_working_set(1000, 100, 4, 256)
+            == 2 * scratch
+        )
+        # More centers than a scan block holds widen each thread's blocks.
+        big_k = 2**17
+        assert estimate_working_set(0, big_k, 1, 2) == 2 * 8 * big_k + 8 * 2 * (2 + big_k)
+        figure = estimate_working_set(10**9, 10**5, 4, 256, threads=2)
+        assert 24 * 10**9 < figure < 25 * 10**9
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            estimate_working_set(-1, 0, 2, 4)
+        with pytest.raises(ValueError, match="threads"):
+            estimate_working_set(1, 1, 2, 4, threads=0)
+        with pytest.raises(ValueError, match="M >= 1"):
+            estimate_working_set(1, 1, 0, 4)
+
+
+# Fits 2M random codes (M=4, L=256) into K=32 clusters for 3 iterations on
+# one thread and prints the rise in peak RSS over the loaded codes and
+# tables, after a small fit has loaded every lazily imported module.
+_WORKING_SET_PROBE = """
+import resource
+import numpy as np
+from pqclust import PQCodebook, build_distance_tables, fit
+n, k = 2_000_000, 32
+rng = np.random.default_rng(0)
+tables = build_distance_tables(PQCodebook(rng.normal(size=(4, 256, 2)).astype(np.float32)))
+codes = rng.integers(0, 256, size=(n, 4), dtype=np.uint8)
+fit(codes[:5000], tables, k, 2, 0)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+fit(codes, tables, k, 3, 0)
+print(1024 * (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is KiB on Linux")
+def test_fit_peak_stays_within_the_working_set_figure():
+    env = dict(os.environ, PYTHONPATH=str(Path(pqclust.__file__).resolve().parent.parent))
+    env.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _WORKING_SET_PROBE],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    rise = int(proc.stdout.split()[-1])
+    n, k, m, l_count = 2_000_000, 32, 4, 256
+    # The figure less what the fit was given: the codes and the tables.
+    held = estimate_working_set(n, k, m, l_count) - n * m - 8 * m * l_count * l_count
+    # An N-sized intp index array (8 B/pt) more than the figure's 20 B/pt
+    # above the codes exceeds this factor.
+    assert rise <= 1.25 * held, f"fit raised peak RSS by {rise / n:.1f} B/pt"

@@ -260,6 +260,83 @@ class TestWholeFileReaders:
             read_codes(path)
 
 
+    def test_bad_record_in_a_later_chunk_names_its_index(self, tmp_path):
+        values = np.arange(65_541, dtype=np.float32).reshape(-1, 1) % 251
+        for write, read, stream, name, record_bytes in (
+            (write_fvecs, read_fvecs, iter_fvecs, "x.fvecs", 8),
+            (write_bvecs, read_bvecs, iter_bvecs, "x.bvecs", 5),
+        ):
+            path = tmp_path / name
+            write(path, values)
+            raw = bytearray(path.read_bytes())
+            raw[65_539 * record_bytes : 65_539 * record_bytes + 4] = struct.pack("<i", 2)
+            path.write_bytes(bytes(raw))
+            for load in (read, lambda p: list(stream(p))):
+                with pytest.raises(FormatError, match="record 65539 declares dimension 2, expected 1"):
+                    load(path)
+
+        # One full 262,144-record chunk of codes, then record 262,146 holds
+        # subindex 9 in its second subspace.
+        path = tmp_path / "codes.pqkc"
+        write_codes(path, np.zeros((262_149, 2), dtype=np.uint8), 8)
+        raw = bytearray(path.read_bytes())
+        raw[-3 * 2 + 1] = 9
+        path.write_bytes(bytes(raw))
+        for load in (read_codes, lambda p: list(iter_codes(p))):
+            with pytest.raises(FormatError, match="record 262146 holds subindex 9, must be below L=8"):
+                load(path)
+
+    def test_payload_files_longer_than_one_chunk(self, tmp_path):
+        rng = np.random.default_rng(9)
+        labels = rng.integers(0, 2**32, size=300_001, dtype=np.uint32)
+        write_labels(tmp_path / "labels.bin", labels)
+        back = read_labels(tmp_path / "labels.bin")
+        assert back.dtype == np.dtype("<u4")
+        assert back.tobytes() == (tmp_path / "labels.bin").read_bytes() == labels.tobytes()
+        packed = rng.integers(0, 256, size=(300_001, 3), dtype=np.uint8)
+        write_binary_codes(tmp_path / "codes.pqkb", packed)
+        back, bits = read_binary_codes(tmp_path / "codes.pqkb")
+        assert bits == 24
+        assert back.tobytes() == packed.tobytes()
+        assert back.tobytes() == (tmp_path / "codes.pqkb").read_bytes()[16:]
+
+
+class TestWritersWriteFromTheArray:
+    """Chunked writers produce the bytes of a whole-array conversion."""
+
+    def test_vector_files(self, tmp_path):
+        rng = np.random.default_rng(10)
+        n, dim = 65_536 + 70, 3
+        vectors = rng.normal(size=(n, dim))
+        expected = np.empty((n, dim + 1), dtype="<f4")
+        expected[:, 0] = np.full(n, dim, dtype="<i4").view("<f4")
+        expected[:, 1:] = vectors
+        write_fvecs(tmp_path / "x.fvecs", vectors)
+        assert (tmp_path / "x.fvecs").read_bytes() == expected.tobytes()
+        write_fvecs(tmp_path / "y.fvecs", vectors.astype(np.float32)[:, ::-1])
+        assert read_fvecs(tmp_path / "y.fvecs").tobytes() == expected[:, :0:-1].tobytes()
+        small = rng.integers(0, 256, size=(n, dim))
+        raw = np.empty((n, 4 + dim), dtype=np.uint8)
+        raw[:, :4] = np.full(n, dim, dtype="<i4").view(np.uint8).reshape(n, 4)
+        raw[:, 4:] = small
+        write_bvecs(tmp_path / "x.bvecs", small.astype(np.float64))
+        assert (tmp_path / "x.bvecs").read_bytes() == raw.tobytes()
+
+    def test_code_and_label_files(self, tmp_path):
+        rng = np.random.default_rng(11)
+        codes = rng.integers(0, 200, size=(65_536 * 2 + 5, 3))
+        write_codes(tmp_path / "a.pqkc", codes, 200)
+        write_codes(tmp_path / "b.pqkc", codes.astype(np.uint8), 200)
+        payload = (tmp_path / "a.pqkc").read_bytes()
+        assert payload == (tmp_path / "b.pqkc").read_bytes()
+        assert payload[-codes.size :] == codes.astype(np.uint8).tobytes()
+        write_binary_codes(tmp_path / "a.pqkb", codes.T.astype(np.int16).T)
+        assert (tmp_path / "a.pqkb").read_bytes()[16:] == codes.astype(np.uint8).tobytes()
+        labels = rng.integers(0, 2**32, size=65_536 * 2 + 5)
+        write_labels(tmp_path / "a.bin", labels)
+        assert (tmp_path / "a.bin").read_bytes() == labels.astype("<u4").tobytes()
+
+
 @pytest.mark.parametrize("chunk_records", [0, -1])
 def test_stream_readers_reject_nonpositive_chunks(tmp_path, chunk_records):
     write_fvecs(tmp_path / "x.fvecs", np.zeros((3, 2), dtype=np.float32))

@@ -92,6 +92,17 @@ class TestTrainCodebook:
         assert np.array_equal(book_a.codewords, book_b.codewords)
         assert not np.array_equal(book_a.codewords, book_c.codewords)
 
+    def test_threads_do_not_change_the_codebook_or_the_codes(self):
+        # Ranges of 5003 / t rows split the scan's cache blocks unevenly.
+        data, _ = generate_synthetic(5003, 8, 12, 0.3, seed=21)
+        book = train_codebook(data, 2, 64, iterations=6, seed=3)
+        codes = encode(book, data)
+        for threads in (2, 8):
+            again = train_codebook(data, 2, 64, iterations=6, seed=3, threads=threads)
+            assert again.codewords.tobytes() == book.codewords.tobytes()
+            assert encode(book, data, threads=threads).tobytes() == codes.tobytes()
+        assert np.array_equal(encode(book, data[7], threads=8), codes[7])
+
     def test_fixed_point_when_n_equals_l(self):
         # With exactly L distinct training vectors, every vector becomes its
         # own codeword and the quantizer reconstructs the data verbatim.
