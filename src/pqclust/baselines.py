@@ -351,16 +351,22 @@ def rand_index(labels_a: np.ndarray, labels_b: np.ndarray) -> float:
     n = len(a)
     if n < 2:
         return 1.0
-    _, inv_a = np.unique(a, return_inverse=True)
-    _, inv_b = np.unique(b, return_inverse=True)
-    joint = inv_a.astype(np.int64) * (int(inv_b.max()) + 1) + inv_b
+    inv_a = np.unique(a, return_inverse=True)[1].astype(np.int64, copy=False)
+    inv_b = np.unique(b, return_inverse=True)[1]
 
     def same_pairs(counts: np.ndarray) -> int:
         c = counts.astype(np.int64)
         return int(np.sum(c * (c - 1))) // 2
 
-    together_both = same_pairs(np.bincount(joint))
     together_a = same_pairs(np.bincount(inv_a))
     together_b = same_pairs(np.bincount(inv_b))
+    # The run lengths of the sorted joint labels count its nonempty cells;
+    # a bincount would allocate all Ua * Ub of them.
+    joint = inv_a
+    joint *= int(inv_b.max()) + 1
+    joint += inv_b
+    joint.sort()
+    starts = np.flatnonzero(joint[1:] != joint[:-1]) + 1
+    together_both = same_pairs(np.diff(starts, prepend=0, append=n))
     disagreements = (together_a - together_both) + (together_b - together_both)
     return 1.0 - disagreements / (n * (n - 1) // 2)

@@ -2,6 +2,7 @@
 
 import itertools
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -501,6 +502,27 @@ class TestMetrics:
             expected = agree / (n * (n - 1) / 2)
             assert rand_index(a, b) == pytest.approx(expected, rel=1e-12)
             assert rand_index(b, a) == pytest.approx(expected, rel=1e-12)
+
+    def test_rand_index_memory_is_linear_in_many_labels(self):
+        # About 6000 distinct labels on each side: a table of every
+        # (label_a, label_b) cell would need hundreds of MB.
+        rng = np.random.default_rng(20)
+        n = 6000
+        a = rng.integers(0, 40_000, size=n)
+        b = np.where(rng.random(n) < 0.5, a // 3, rng.integers(0, 40_000, size=n))
+        disagree = sum(
+            int(np.count_nonzero((a[i + 1 :] == a[i]) != (b[i + 1 :] == b[i])))
+            for i in range(n - 1)
+        )
+        tracemalloc.start()
+        try:
+            got = rand_index(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert disagree > 0
+        assert got == 1.0 - disagree / (n * (n - 1) // 2)
+        assert peak < 64 * n
 
     def test_rand_index_permutation_invariant(self):
         rng = np.random.default_rng(19)

@@ -24,7 +24,7 @@ from pqclust import (
     update_center_sparse,
 )
 import pqclust
-from pqclust.clustering import _assign_linear_scan, _joint_dtype, _member_histograms
+from pqclust.clustering import _joint_dtype, _member_histograms
 from pqclust.clustering import _sparse_update_all
 from pqclust.lloyd import _CHUNK_ROWS, _chunked_counts
 
@@ -40,6 +40,26 @@ def lattice_tables(m, l_count):
     grid = np.arange(l_count, dtype=np.float32).reshape(l_count, 1)
     book = PQCodebook(np.broadcast_to(grid, (m, l_count, 1)).copy())
     return build_distance_tables(book)
+
+
+def incremental_ties(codes, tables, before, after, labels):
+    """The exact ties that an incremental assignment from the centers
+    `before` (with their labels) to the centers `after` meets, in an
+    iteration where some but not all centers moved."""
+    d = sum(tables.tables[m][codes[:, m]][:, after[:, m]] for m in range(codes.shape[1]))
+    moved = np.any(before != after, axis=1)
+    if not 0 < moved.sum() < len(after):
+        return set()
+    stale = moved[labels]
+    own = d[np.arange(len(codes)), labels]
+    at_best = d == d.min(axis=1, keepdims=True)
+    kinds = set()
+    if np.any(d[~stale][:, moved] == own[~stale, None]):
+        kinds.add("kept_vs_moved")
+    best = at_best[stale]
+    if np.any(best[:, moved].any(axis=1) & best[:, ~moved].any(axis=1)):
+        kinds.add("stale_vs_moved_and_unmoved")
+    return kinds
 
 
 class TestHistogram:
@@ -232,7 +252,7 @@ class TestAssignment:
             tables.tables[m][codes[:, m]][:, centers[:, m]] for m in range(3)
         )
         expected = np.argmin(dists, axis=1).astype(np.uint32)
-        got = _assign_linear_scan(codes, centers, tables, threads)
+        got = assign(codes, centers, tables, threads)
         assert got.tobytes() == expected.tobytes()
 
     def test_assign_validation(self):
@@ -380,7 +400,7 @@ class TestFit:
 
     @pytest.mark.parametrize("threads", [1, 2, 8])
     @pytest.mark.parametrize(
-        "case", ["duplicate_centers", "repairs", "no_moves", "random"]
+        "case", ["duplicate_centers", "repairs", "no_moves", "ties", "random"]
     )
     def test_in_loop_labels_match_a_full_assignment(self, case, threads):
         rng = np.random.default_rng(40)
@@ -397,6 +417,15 @@ class TestFit:
             tables = lattice_tables(3, 8)
             codes = np.repeat(rng.integers(0, 8, size=(30, 3), dtype=np.uint8), 3, axis=0)
             k = 80
+        elif case == "ties":
+            # Center codes duplicated at mirrored indices on integer tables:
+            # later iterations tie moved centers against kept distances and
+            # against unmoved centers (checked below).
+            tables = lattice_tables(2, 8)
+            codes = rng.integers(0, 8, size=(2000, 2), dtype=np.uint8)
+            initial = codes[:12].copy()
+            initial[6:] = initial[:6][::-1]
+            k = 12
         elif case == "no_moves":
             tables = lattice_tables(1, 200)
             codes = np.array([0, 1, 2, 99, 100, 101, 197, 198, 199], dtype=np.uint8)
@@ -418,13 +447,18 @@ class TestFit:
             assert any(0 < m < k for m in moved)
 
         used = init_centers(codes, k, 3) if initial is None else initial
+        ties = set()
         for i in range(1, full.iterations_run + 1):
             capped = fit(codes, tables, k, max_iterations=i, **kwargs)
             assert capped.labels.tobytes() == assign(codes, used, tables).tobytes()
             stats = capped.trace[-1]
             assert stats.objective_sq == pq_cost_sq(codes, used, capped.labels, tables)
             assert stats.objective == pq_cost(codes, used, capped.labels, tables)
-            used = capped.centers
+            if case == "ties" and i > 1:
+                ties |= incremental_ties(codes, tables, previous, used, labels)
+            previous, labels, used = used, capped.labels, capped.centers
+        if case == "ties":
+            assert ties == {"kept_vs_moved", "stale_vs_moved_and_unmoved"}
 
     def test_validation(self):
         tables = lattice_tables(1, 4)
