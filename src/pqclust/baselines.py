@@ -321,11 +321,12 @@ def original_space_error(vectors: np.ndarray, labels: np.ndarray) -> float:
     if len(data) == 0:
         raise ValueError("cannot evaluate an empty dataset")
     means = cluster_means(data, labels, int(labels.max()) + 1)
-    block = max(1, _BLOCK_ELEMENTS // max(1, data.shape[1]))
+    scratch = np.empty(max(_BLOCK_ELEMENTS, data.shape[1]))
+    block = max(1, len(scratch) // max(1, data.shape[1]))
     sq = np.empty(len(data))
     for a in range(0, len(data), block):
-        sq[a : a + block] = _assigned_sq_distances(
-            data[a : a + block], means, labels[a : a + block]
+        _assigned_sq_distances(
+            data[a : a + block], means, labels[a : a + block], scratch, sq[a : a + block]
         )
     return float(np.mean(np.sqrt(sq)))
 

@@ -16,10 +16,14 @@ import dataclasses
 import functools
 import json
 import os
+import platform
+import resource
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import baselines, clustering, io, pq
 
@@ -151,17 +155,36 @@ def cmd_encode(args: argparse.Namespace) -> int:
     return 0
 
 
+def _loader(method):
+    """A cached property of _Inputs that adds the seconds of its one run to
+    load_seconds."""
+
+    @functools.wraps(method)
+    def load(self):
+        start = time.perf_counter()
+        try:
+            return method(self)
+        finally:
+            self.load_seconds += time.perf_counter() - start
+
+    return functools.cached_property(load)
+
+
 class _Inputs:
-    """The input files of one cluster or bench run, each read at most once."""
+    """The input files of one cluster or bench run, each read at most once.
+
+    load_seconds sums the time spent reading and preparing them.
+    """
 
     def __init__(self, args: argparse.Namespace) -> None:
         self._args = args
+        self.load_seconds = 0.0
 
-    @functools.cached_property
+    @_loader
     def vectors(self) -> np.ndarray:
         return io.read_fvecs(self._args.data)
 
-    @functools.cached_property
+    @_loader
     def codes(self) -> tuple[np.ndarray, int, pq.DistanceTables]:
         """(codes, L, distance tables) of --codes and --codebook."""
         args = self._args
@@ -175,7 +198,7 @@ class _Inputs:
             )
         return codes, l_count, pq.build_distance_tables(codebook)
 
-    @functools.cached_property
+    @_loader
     def packed(self) -> np.ndarray:
         """Packed binary codes, read from --binary-codes or binarized from --data."""
         args = self._args
@@ -278,6 +301,12 @@ def _write_trace_csv(path, trace) -> None:
             )
 
 
+def _peak_rss_mb() -> float:
+    """High-water resident set size of this process, in MiB."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / 2**20 if sys.platform == "darwin" else peak / 2**10  # bytes on macOS, KiB else
+
+
 def cmd_cluster(args: argparse.Namespace) -> int:
     _check_common(args)
     if args.k < 1:
@@ -286,9 +315,10 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         raise ValueError(f"--max-iterations must be positive, got {args.max_iterations}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    result, row, centers_name, write_centers = _run_method(
-        args, _Inputs(args), args.method, args.k
-    )
+    inputs = _Inputs(args)
+    start = time.perf_counter()
+    result, row, centers_name, write_centers = _run_method(args, inputs, args.method, args.k)
+    fit_seconds = time.perf_counter() - start - inputs.load_seconds
 
     labels_path = out_dir / "labels.bin"
     centers_path = out_dir / centers_name
@@ -320,6 +350,13 @@ def cmd_cluster(args: argparse.Namespace) -> int:
             "centers": str(centers_path),
             "trace_csv": str(trace_path),
         },
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "cpu_count": os.cpu_count(),
+            "threads": args.threads,
+        },
     }
 
     # All four artifacts are staged together and moved into place only
@@ -327,9 +364,17 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     # previous run's artifacts whole.
     with io.staged(labels_path, centers_path, trace_path, result_path) as temps:
         labels_temp, centers_temp, trace_temp, result_temp = temps
+        start = time.perf_counter()
         io.write_labels(labels_temp, result.labels)
         write_centers(centers_temp)
         _write_trace_csv(trace_temp, result.trace)
+        # The record of the whole command, up to the write of result.json.
+        document["stage_seconds"] = {
+            "load": inputs.load_seconds,
+            "fit": fit_seconds,
+            "write": time.perf_counter() - start,
+        }
+        document["peak_rss_mb"] = _peak_rss_mb()
         io.save_result_document(result_temp, document)
         if labels_temp.stat().st_size != 4 * int(row["n"]):
             raise ValueError(f"{labels_path}: written labels failed validation")

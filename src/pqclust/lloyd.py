@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
+from scipy.sparse import csr_array
 from scipy.spatial.distance import cdist
 
 # Float64 elements per assignment block: 512 KiB of scratch stays in L2
@@ -21,6 +22,20 @@ _BLOCK_ELEMENTS = 1 << 16
 # Rows per chunk of a counting pass over all N points: the pass holds one
 # chunk of index scratch, never an N-sized index array.
 _CHUNK_ROWS = 1 << 16
+
+# Multiply-adds per float32 GEMM of the nearest-center scan. OpenBLAS runs a
+# GEMM of at most 4 * 65536 multiply-adds on the calling thread; a larger one
+# starts BLAS threads of its own beside the range runner's.
+_GEMM_MULADDS = 1 << 18
+
+# Rows per chunk of cluster_means: a chunk's float64 copy and sort keys are
+# the whole of its scratch.
+_MEAN_ROWS = 1 << 12
+
+_U32 = 2.0**-24  # unit roundoff of float32
+_U64 = 2.0**-53  # unit roundoff of float64
+_TINY32 = 2.0**-126  # smallest normal float32
+_MAX32 = float(np.finfo(np.float32).max)
 
 
 @dataclass
@@ -80,13 +95,15 @@ def _range_runner(threads: int, n: int, width: int):
 
     [0, N) is split into min(threads, N) contiguous ranges, one per worker
     thread. Each range owns a scratch pair for scans over up to `width`
-    columns, allocated once here rather than per scan. run returns the
-    tasks' results in range order. A row's label depends on that row
-    alone, so any split gives the same labels.
+    columns (centers, or the dimensions of a row), allocated once here
+    rather than per scan. run returns the tasks' results in range order.
+    A row's label depends on that row alone, so any split gives the same
+    labels.
     """
     parts = max(1, min(threads, n))
     edges = [n * t // parts for t in range(parts + 1)]
-    # A scan over w columns uses max(1, _BLOCK_ELEMENTS // w) * w elements.
+    # A table scan over w columns uses max(1, _BLOCK_ELEMENTS // w) * w
+    # elements of each; _nearest_center_range sizes its blocks to fit.
     size = max(_BLOCK_ELEMENTS, width)
     scratch = [(np.empty(size), np.empty(size)) for _ in range(parts)]
     if parts == 1:
@@ -129,7 +146,7 @@ def _lloyd(codes, centers, max_iterations, threads, assign_step, update_all, obj
     dists = np.empty(n, dtype=np.float64)
     assigned_to = None  # the centers that labels and dists were scanned against
     previous = None
-    with _range_runner(threads, n, k) as run:
+    with _range_runner(threads, n, max(k, codes.shape[1])) as run:
         for iteration in range(1, max_iterations + 1):
             start = time.perf_counter()
             moved = None
@@ -178,43 +195,137 @@ def _chunked_counts(labels: np.ndarray, k: int) -> np.ndarray:
 
 
 def cluster_means(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    """Per-cluster float64 means; rows of empty clusters are zero."""
-    points = np.asarray(points)  # bincount casts one column at a time
-    labels = labels.astype(np.intp)
-    counts = np.bincount(labels, minlength=k).astype(np.float64)
-    sums = np.stack(
-        [
-            np.bincount(labels, weights=points[:, d], minlength=k)
-            for d in range(points.shape[1])
-        ],
-        axis=1,
-    )
+    """Per-cluster float64 means; rows of empty clusters are zero.
+
+    Each cluster's sum is np.bincount's with weights: float64, from zero,
+    the members added in row order. The rows are taken _MEAN_ROWS at a
+    time. One CSR product over the stack [running sums; chunk as float64]
+    adds a chunk to the sums: row k of the matrix lists sum k first, then
+    the chunk's members of cluster k in row order, and scipy adds a row's
+    entries in that order to zero.
+    """
+    points, labels = np.asarray(points), np.asarray(labels)
+    n, dim = points.shape
+    if labels.shape != (n,):
+        raise ValueError(f"labels must have shape ({n},), got {labels.shape}")
+    key = np.min_scalar_type(max(k - 1, 0))  # narrow sort keys sort by radix
+    heads = np.arange(k, dtype=key)
+    stack = np.empty((k + min(n, _MEAN_ROWS), dim))
+    ones = np.ones(len(stack))
+    sums = np.zeros((k, dim))
+    counts = np.zeros(k, dtype=np.intp)
+    indptr = np.zeros(k + 1, dtype=np.intp)
+    for a in range(0, n, _MEAN_ROWS):
+        chunk = labels[a : a + _MEAN_ROWS].astype(np.intp)
+        members = np.bincount(chunk, minlength=k)
+        if len(members) > k:
+            raise ValueError(f"labels must lie in [0, {k}), got {chunk.max()}")
+        counts += members
+        np.cumsum(members + 1, out=indptr[1:])
+        order = np.argsort(np.concatenate([heads, chunk.astype(key)]), kind="stable")
+        width = k + len(chunk)
+        stack[:k] = sums
+        stack[k:width] = points[a : a + len(chunk)]
+        sums = csr_array((ones[:width], order, indptr), shape=(k, width)) @ stack[:width]
     return np.divide(sums, counts[:, None], out=np.zeros_like(sums), where=counts[:, None] > 0)
 
 
-def _assigned_sq_distances(points: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Squared distance of each row to its center in float64; callers pass
-    blocks of rows, since the difference is a rows × D temporary."""
-    return np.sum((points - centers[labels]) ** 2, axis=1)
+def _assigned_sq_distances(points, centers, labels, scratch, out) -> None:
+    """Write the float64 squared distance of each row to its center into
+    out: np.sum((points - centers[labels]) ** 2, axis=1), with the rows × D
+    difference held in the float64 scratch."""
+    diff = scratch[: points.size].reshape(points.shape)
+    np.take(centers, labels, axis=0, out=diff)
+    np.subtract(points, diff, out=diff)
+    np.square(diff, out=diff)
+    np.add.reduce(diff, axis=1, out=out)
 
 
 def _nearest_center_range(points, centers, labels, dists, start, stop, scratch) -> int:
-    """Nearest center of the rows of [start, stop) by cdist, lowest index on
-    ties, one cache block of the runner's scratch at a time. Writes labels
-    and, when given, the squared distances as _assigned_sq_distances sums
-    them; returns the number of labels that changed."""
-    k = len(centers)
-    block = max(1, _BLOCK_ELEMENTS // k)
+    """Nearest center of the float32 rows of [start, stop) by squared
+    Euclidean distance, lowest index on ties, one cache block of the
+    runner's scratch at a time. Writes labels and, when given, the squared
+    distances by _assigned_sq_distances; returns the number of labels that
+    changed.
+
+    The labels are those of a float64 cdist and argmin. A float32 GEMM
+    ranks the centers: for a row x it gives
+    a_k = fl(fl(x · fl(-2c_k)) + fl(|c_k|²)), which is the squared
+    distance d_k less |x|², up to rounding. With u = 2⁻²⁴,
+    γ = Du / (1 - Du), R = |x|, C = max_k |c_k| and no overflow,
+
+        |a_k - (d_k - R²)| <= E = (2γ + 5u)·R·C + 3u·C² + 4D·2⁻¹²⁶·(1 + R).
+
+    Rounding -2c to float32 costs 2u·R·C; the dot product, in any
+    summation order with or without FMA, 2γ·R·C·(1 + u); rounding the
+    float64 |c|² to float32, (u + D·2⁻⁵³)·C²; the final addition
+    u·(C² + 2R·C)·(1 + γ). The fifth u·R·C and the third u·C² cover the
+    products of these roundings and the float64 evaluation of R and C, and
+    the last term every underflow, gradual or flushed. cdist's float64
+    sums err by at most γ₆₄(D + 2)·(R + C)², γ₆₄(n) = n·2⁻⁵³ / (1 - n·2⁻⁵³),
+    and two more units of γ₆₄ cover the float64 test itself. So when every
+    other a_j exceeds the least a_w by more than 2E + 2γ₆₄(D + 4)·(R + C)²,
+    cdist ranks w strictly first, and w is the label. Every other row goes
+    to the recheck, cdist and argmin over all centers: a near tie, a row
+    whose (R + C)² exceeds half the float32 range, where the GEMM could
+    overflow, and every row when C² does.
+
+    A block holds its float32 ranking in the first float64 scratch, at
+    twice the rows a float64 block would, and its float64 differences in
+    the second. Each GEMM is a slab of at most _GEMM_MULADDS multiply-adds.
+    """
+    k, dim = centers.shape
+    size = len(scratch[1])
+    slab = max(1, _GEMM_MULADDS // max(1, k * dim))
+    block = max(1, min(2 * size // k, size // max(1, dim)))
+    if block >= slab:
+        block -= block % slab
+    gamma = dim * _U32 / (1 - dim * _U32)
+    gamma64 = (dim + 4) * _U64 / (1 - (dim + 4) * _U64)
+    rows = np.arange(block)
     changes = 0
-    for a in range(start, stop, block):
-        b = min(a + block, stop)
-        sq = scratch[0][: (b - a) * k].reshape(b - a, k)
-        cdist(points[a:b], centers, "sqeuclidean", out=sq)
-        best = sq.argmin(axis=1)
-        changes += int(np.count_nonzero(best != labels[a:b]))
-        labels[a:b] = best
-        if dists is not None:
-            dists[a:b] = _assigned_sq_distances(points[a:b], centers, best)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq_norms = np.einsum("ij,ij->i", centers, centers)
+        c_max = math.sqrt(sq_norms.max())
+        rankable = c_max * c_max <= _MAX32 / 2
+        if rankable:
+            ranking = (-2 * centers).astype(np.float32).T
+            offsets = sq_norms.astype(np.float32)
+            # The margin 2E + 2γ₆₄(D + 4)·(R + C)² is p·R + q + s·(R + C)².
+            p = 2 * ((2 * gamma + 5 * _U32) * c_max + 4 * dim * _TINY32)
+            q = 2 * (3 * _U32 * c_max * c_max + 4 * dim * _TINY32)
+            s = 2 * gamma64
+        for a in range(start, stop, block):
+            b = min(a + block, stop)
+            x = points[a:b]
+            here = rows[: b - a]
+            if rankable:
+                approx = scratch[0].view(np.float32)[: (b - a) * k].reshape(b - a, k)
+                whole = (b - a) // slab * slab
+                np.matmul(
+                    x[:whole].reshape(whole // slab, slab, dim), ranking,
+                    out=approx[:whole].reshape(whole // slab, slab, k),
+                )
+                if whole < b - a:
+                    np.matmul(x[whole:], ranking, out=approx[whole:])
+                approx += offsets
+                best = approx.argmin(axis=1)
+                low = approx[here, best].astype(np.float64)
+                approx[here, best] = np.inf
+                runner_up = approx.min(axis=1)
+                norm = np.sqrt(np.einsum("ij,ij->i", x, x, dtype=np.float64))
+                reach = (norm + c_max) ** 2
+                recheck = np.flatnonzero(
+                    ~(runner_up > low + (p * norm + q + s * reach)) | (reach > _MAX32 / 2)
+                )
+            else:
+                best, recheck = np.empty(b - a, dtype=np.intp), here
+            if len(recheck):
+                best[recheck] = cdist(x[recheck], centers, "sqeuclidean").argmin(axis=1)
+            changes += int(np.count_nonzero(best != labels[a:b]))
+            labels[a:b] = best
+            if dists is not None:
+                _assigned_sq_distances(x, centers, best, scratch[1], dists[a:b])
     return changes
 
 

@@ -217,7 +217,7 @@ def encode(codebook: PQCodebook, vectors: np.ndarray, *, threads: int = 1) -> np
     _check_finite(arr, "vectors")
     sub_dim = codebook.subspace_dim
     codes = np.empty((len(arr), codebook.num_subspaces), dtype=np.uint8)
-    with _range_runner(threads, len(arr), codebook.num_codewords) as run:
+    with _range_runner(threads, len(arr), max(codebook.num_codewords, sub_dim)) as run:
         for m in range(codebook.num_subspaces):
             sub = arr[:, m * sub_dim : (m + 1) * sub_dim]
             codewords = codebook.codewords[m].astype(np.float64)

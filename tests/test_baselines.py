@@ -3,6 +3,7 @@
 import itertools
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -21,9 +22,21 @@ from pqclust import (
     train_binarizer,
     unpack_bits,
 )
+from pqclust import lloyd
 from pqclust.baselines import _BINARIZE_ROWS
 from pqclust.clustering import _BLOCK_ELEMENTS
+from pqclust.lloyd import _MEAN_ROWS
 from pqclust.io import generate_synthetic
+
+
+def _bincount_means(points, labels, k):
+    """Per-cluster float64 means from one weighted bincount per column,
+    which adds each cluster's members in row order; empty clusters are
+    zero."""
+    points = points.astype(np.float64)
+    counts = np.bincount(labels, minlength=k)
+    sums = np.stack([np.bincount(labels, weights=column, minlength=k) for column in points.T], axis=1)
+    return np.divide(sums, counts[:, None], out=np.zeros_like(sums), where=counts[:, None] > 0)
 
 
 class TestClusterMeans:
@@ -38,6 +51,49 @@ class TestClusterMeans:
             np.testing.assert_allclose(means[ki], members.mean(axis=0), rtol=1e-12)
         # Cluster 4 received no points.
         assert np.array_equal(means[4], np.zeros(3))
+
+    def test_sums_in_row_order_across_chunks(self):
+        # Magnitudes from 1e-12 to 1e5 make a float64 sum depend on the
+        # order of its terms.
+        rng = np.random.default_rng(31)
+        n, k = 3 * _MEAN_ROWS + 17, 7
+        scale = 10.0 ** rng.uniform(-12, 5, size=(n, 1))
+        points = (rng.normal(size=(n, 5)) * scale).astype(np.float32)
+        labels = rng.integers(0, k - 1, size=n).astype(np.uint32)  # cluster 6 stays empty
+        expected = _bincount_means(points, labels, k)
+        assert cluster_means(points, labels, k).tobytes() == expected.tobytes()
+        # The same terms summed chunk by chunk, then across chunks, differ.
+        counts = np.bincount(labels, minlength=k)[:, None]
+        chunked = sum(
+            _bincount_means(points[a : a + _MEAN_ROWS], labels[a : a + _MEAN_ROWS], k)
+            * np.bincount(labels[a : a + _MEAN_ROWS], minlength=k)[:, None]
+            for a in range(0, n, _MEAN_ROWS)
+        )
+        assert not np.array_equal(chunked[:-1] / counts[:-1], expected[:-1])
+
+    def test_scratch_does_not_grow_with_n(self):
+        # The update's passes over N hold one chunk of scratch, never an
+        # N-sized label or column copy.
+        rng = np.random.default_rng(32)
+        points = rng.normal(size=(1 << 20, 4)).astype(np.float32)
+        labels = rng.integers(0, 16, size=1 << 20).astype(np.uint32)
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                cluster_means(points[:n], labels[:n], 16)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(1 << 20) <= peak(1 << 16) + (64 << 10)
+
+    def test_validation(self):
+        points = np.zeros((4, 2), dtype=np.float32)
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 2\), got 2"):
+            cluster_means(points, np.array([0, 1, 2, 0]), 2)
+        with pytest.raises(ValueError, match=r"labels must have shape \(4,\)"):
+            cluster_means(points, np.zeros(3, dtype=np.uint32), 2)
 
 
 class TestKmeans:
@@ -163,8 +219,8 @@ class TestKmeans:
 
 def _reference_kmeans(vectors, centers, max_iterations):
     """Lloyd k-means as one loop over float64 copies: the full cdist matrix,
-    argmin, an N × D objective pass, cluster_means and the farthest-point
-    repair, with the objective stop rule. Returns labels, centers, the
+    argmin, an N × D objective pass, means from one bincount per column and
+    the farthest-point repair, with the objective stop rule. Returns labels, centers, the
     trace's (objective, objective_sq) pairs and (label_changes,
     moved_centers, rescanned_points) triples, and the converged flag."""
     points = vectors.astype(np.float64)
@@ -186,13 +242,69 @@ def _reference_kmeans(vectors, centers, max_iterations):
         assigned_to = centers
         if objective == previous:
             return labels, centers, objectives, churn, True
-        updated = cluster_means(points, labels, k)
+        updated = _bincount_means(points, labels, k)
         for ki in np.flatnonzero(np.bincount(labels, minlength=k) == 0):
             far = int(np.argmax(sq))
             updated[ki] = points[far]
             sq[far] = -np.inf
         centers, previous = updated, objective
     return labels, centers, objectives, churn, False
+
+
+class TestNearestCenterScan:
+    """kmeans_fit's assignment: a float32 GEMM ranks the centers, and cdist
+    and argmin decide every row within the rounding bound of a tie."""
+
+    @staticmethod
+    def count_rechecked_rows(monkeypatch):
+        rows = []
+
+        def counting(points, *args, **kwargs):
+            rows.append(len(points))
+            return cdist(points, *args, **kwargs)
+
+        monkeypatch.setattr(lloyd, "cdist", counting)
+        return rows
+
+    @pytest.mark.parametrize(
+        "points, centers",
+        [
+            # Centers whose squared norms exceed the float32 range.
+            ([[1e19, 1e19], [1e20, 1e20], [3e19, 1e19]], [[1e19, 1e19], [1e20, 1e20]]),
+            ([[0.5, 1.0], [-2.0, 3.0], [1e19, 0.0]], [[1e300, 0.0], [0.0, 1.0], [-1.0, 2.0]]),
+            # Rows whose float32 products overflow against ordinary centers.
+            ([[3e38, 3e38], [1.0, 1.0], [-3e38, 2.0]], [[1.0, 1.0], [2.0, 2.0], [-4.0, 2.0]]),
+        ],
+    )
+    def test_out_of_float32_range_matches_cdist_without_warnings(self, points, centers, monkeypatch):
+        points = np.array(points, dtype=np.float32)
+        centers = np.array(centers)
+        expected = np.argmin(cdist(points.astype(np.float64), centers, "sqeuclidean"), axis=1)
+        rechecked = self.count_rechecked_rows(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = kmeans_fit(points, len(centers), max_iterations=1, initial_centers=centers)
+        assert np.array_equal(got.labels, expected)
+        assert sum(rechecked) > 0
+
+    @pytest.mark.parametrize("threads", [1, 2, 8])
+    def test_near_ties_far_from_the_origin_match_the_reference(self, threads, monkeypatch):
+        # Lattice points offset by 1e4: distances are small integers with
+        # exact ties, while |x|² and |c|² are near 3e8, where float32 keeps
+        # no fraction. Only the recheck can rank them.
+        rng = np.random.default_rng(41)
+        vectors = (rng.integers(0, 6, size=(3000, 3)) + 1e4).astype(np.float32)
+        k = 12
+        initial = vectors[np.random.default_rng(4).choice(len(vectors), size=k, replace=False)]
+        rechecked = self.count_rechecked_rows(monkeypatch)
+        got = kmeans_fit(vectors, k, 40, seed=4, threads=threads)
+        assert sum(rechecked) > 0
+        labels, centers, objectives, churn, converged = _reference_kmeans(vectors, initial, 40)
+        assert np.array_equal(got.labels, labels)
+        assert got.centers.tobytes() == centers.tobytes()
+        assert [(s.objective, s.objective_sq) for s in got.trace] == objectives
+        assert [(s.label_changes, s.moved_centers, s.rescanned_points) for s in got.trace] == churn
+        assert got.converged == converged
 
 
 class TestBinarizer:

@@ -6,9 +6,13 @@ diagnostics are observable without spawning interpreters.
 
 import csv
 import json
+import os
+import platform
+import time
 
 import numpy as np
 import pytest
+import scipy
 
 from pqclust import baselines, cli, io
 
@@ -140,6 +144,34 @@ class TestPipeline:
         assert rows[0] == ["iteration", "objective", "assign_ms", "update_ms"]
         assert [int(r[0]) for r in rows[1:]] == list(range(1, len(rows)))
         assert float(rows[1][1]) == pytest.approx(doc["trace"][0]["objective"])
+
+    @pytest.mark.parametrize("method", ["pqkmeans", "kmeans", "bkmeans"])
+    def test_result_json_records_the_whole_run(self, pipeline, tmp_path, method):
+        out = tmp_path / "run"
+        inputs = {
+            "pqkmeans": ["--codes", str(pipeline["codes"]), "--codebook", str(pipeline["book"])],
+            "kmeans": ["--data", str(pipeline["data"])],
+            "bkmeans": ["--data", str(pipeline["data"]), "--bits", "8"],
+        }[method]
+        start = time.perf_counter()
+        assert cli.main([
+            "cluster", "--method", method, "--k", "8", *inputs,
+            "--out-dir", str(out), "--seed", "1", "--threads", "2",
+        ]) == 0
+        wall = time.perf_counter() - start
+        doc = io.load_result_document(out / "result.json")
+        assert doc["environment"] == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "cpu_count": os.cpu_count(),
+            "threads": 2,
+        }
+        assert doc["peak_rss_mb"] > 0
+        stages = doc["stage_seconds"]
+        assert sorted(stages) == ["fit", "load", "write"]
+        assert all(seconds >= 0 for seconds in stages.values())
+        assert sum(stages.values()) <= wall
 
     @pytest.mark.parametrize("method", ["pqkmeans", "kmeans", "bkmeans"])
     def test_result_json_reports_churn(self, pipeline, tmp_path, method):

@@ -14,6 +14,7 @@ from pqclust import (
     symmetric_distance_sq,
     train_codebook,
 )
+from pqclust import lloyd
 from pqclust.io import generate_synthetic
 from pqclust.lloyd import _BLOCK_ELEMENTS
 
@@ -213,15 +214,24 @@ class TestEncodeDecode:
             assert single.shape == (2,)
             assert np.array_equal(single, batch[i])
 
-    @pytest.mark.parametrize("lattice", [False, True])
-    def test_encode_matches_full_cdist_with_a_partial_last_block(self, lattice):
+    @pytest.mark.parametrize("lattice", [False, True, "offset"])
+    def test_encode_matches_full_cdist_with_a_partial_last_block(self, lattice, monkeypatch):
         l_count = 32
         n = _BLOCK_ELEMENTS // l_count + 1
         rng = np.random.default_rng(23)
+        rechecked = []
+
+        def counting(points, *args, **kwargs):
+            rechecked.append(len(points))
+            return cdist(points, *args, **kwargs)
+
+        monkeypatch.setattr(lloyd, "cdist", counting)
         if lattice:
             # Half-integer sub-vectors lie exactly between two codewords.
-            book = lattice_codebook(3, l_count)
-            vectors = (rng.integers(-2, 2 * l_count + 2, size=(n, 3)) / 2).astype(np.float32)
+            # Offset by 1e4, float32 cancellation is at its worst there.
+            offset = 1e4 if lattice == "offset" else 0.0
+            book = PQCodebook(lattice_codebook(3, l_count).codewords + offset)
+            vectors = (rng.integers(-2, 2 * l_count + 2, size=(n, 3)) / 2 + offset).astype(np.float32)
         else:
             book = random_codebook(3, l_count, 4, seed=24)
             vectors = rng.normal(size=(n, 12)).astype(np.float32)
@@ -244,6 +254,8 @@ class TestEncodeDecode:
         assert np.array_equal(encode(book, vectors), expected)
         if lattice:
             assert np.count_nonzero(vectors % 1) > 0
+            # The exact ties reached the recheck.
+            assert sum(rechecked) > 0
 
     def test_encode_rejects_non_finite_vectors(self):
         book = random_codebook(2, 8, 3)
