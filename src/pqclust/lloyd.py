@@ -249,38 +249,44 @@ def _nearest_center_range(points, centers, labels, dists, start, stop, scratch) 
     changed.
 
     The labels are those of a float64 cdist and argmin. A float32 GEMM
-    ranks the centers: for a row x it gives
-    a_k = fl(fl(x · fl(-2c_k)) + fl(|c_k|²)), which is the squared
-    distance d_k less |x|², up to rounding. With u = 2⁻²⁴,
-    γ = Du / (1 - Du), R = |x|, C = max_k |c_k| and no overflow,
+    ranks the centers: each row x gains a constant 1, each center c_k
+    becomes the column [fl(-2c_k); fl(|c_k|²)], and one dot product of
+    D + 1 terms gives a_k = fl([x, 1] · [fl(-2c_k); fl(|c_k|²)]), which is
+    the squared distance d_k less |x|², up to rounding. With u = 2⁻²⁴,
+    γ = (D + 1)u / (1 - (D + 1)u), R = |x|, C = max_k |c_k| and no
+    overflow,
 
-        |a_k - (d_k - R²)| <= E = (2γ + 5u)·R·C + 3u·C² + 4D·2⁻¹²⁶·(1 + R).
+        |a_k - (d_k - R²)| <= E = (2γ + 5u)·R·C + (γ + 3u)·C² + 4D·2⁻¹²⁶·(1 + R).
 
-    Rounding -2c to float32 costs 2u·R·C; the dot product, in any
-    summation order with or without FMA, 2γ·R·C·(1 + u); rounding the
-    float64 |c|² to float32, (u + D·2⁻⁵³)·C²; the final addition
-    u·(C² + 2R·C)·(1 + γ). The fifth u·R·C and the third u·C² cover the
+    Rounding -2c to float32 costs 2u·R·C; rounding the float64 |c|² to
+    float32, (u + D·2⁻⁵³)·C²; the dot product, in any summation order with
+    or without FMA, γ times the sum of its terms' magnitudes, at most
+    γ·(2R·C + C²)·(1 + 3u). The remaining 3u·R·C and 2u·C² cover the
     products of these roundings and the float64 evaluation of R and C, and
     the last term every underflow, gradual or flushed. cdist's float64
     sums err by at most γ₆₄(D + 2)·(R + C)², γ₆₄(n) = n·2⁻⁵³ / (1 - n·2⁻⁵³),
     and two more units of γ₆₄ cover the float64 test itself. So when every
     other a_j exceeds the least a_w by more than 2E + 2γ₆₄(D + 4)·(R + C)²,
-    cdist ranks w strictly first, and w is the label. Every other row goes
-    to the recheck, cdist and argmin over all centers: a near tie, a row
-    whose (R + C)² exceeds half the float32 range, where the GEMM could
-    overflow, and every row when C² does.
+    cdist ranks w strictly first, and w is the label. The runner-up is the
+    least a_j once a_w is set to +inf: an exact tie leaves it equal to a_w,
+    and K = 1 leaves it +inf. Every other row goes to the recheck, cdist
+    and argmin over all centers: a near tie, a row whose (R + C)² exceeds
+    half the float32 range, where the GEMM could overflow, and every row
+    when C² does.
 
     A block holds its float32 ranking in the first float64 scratch, at
-    twice the rows a float64 block would, and its float64 differences in
-    the second. Each GEMM is a slab of at most _GEMM_MULADDS multiply-adds.
+    twice the rows a float64 block would. Its augmented float32 rows
+    [x, 1], D + 1 float32 values against the D float64 of its differences,
+    fit in the second, until those differences overwrite them.
+    Each GEMM is a slab of at most _GEMM_MULADDS multiply-adds.
     """
     k, dim = centers.shape
     size = len(scratch[1])
-    slab = max(1, _GEMM_MULADDS // max(1, k * dim))
+    slab = max(1, _GEMM_MULADDS // (k * (dim + 1)))
     block = max(1, min(2 * size // k, size // max(1, dim)))
     if block >= slab:
         block -= block % slab
-    gamma = dim * _U32 / (1 - dim * _U32)
+    gamma = (dim + 1) * _U32 / (1 - (dim + 1) * _U32)
     gamma64 = (dim + 4) * _U64 / (1 - (dim + 4) * _U64)
     rows = np.arange(block)
     changes = 0
@@ -289,30 +295,34 @@ def _nearest_center_range(points, centers, labels, dists, start, stop, scratch) 
         c_max = math.sqrt(sq_norms.max())
         rankable = c_max * c_max <= _MAX32 / 2
         if rankable:
-            ranking = (-2 * centers).astype(np.float32).T
-            offsets = sq_norms.astype(np.float32)
+            ranking = np.empty((dim + 1, k), dtype=np.float32)
+            ranking[:dim] = -2 * centers.T
+            ranking[dim] = sq_norms
             # The margin 2E + 2γ₆₄(D + 4)·(R + C)² is p·R + q + s·(R + C)².
             p = 2 * ((2 * gamma + 5 * _U32) * c_max + 4 * dim * _TINY32)
-            q = 2 * (3 * _U32 * c_max * c_max + 4 * dim * _TINY32)
+            q = 2 * ((gamma + 3 * _U32) * c_max * c_max + 4 * dim * _TINY32)
             s = 2 * gamma64
         for a in range(start, stop, block):
             b = min(a + block, stop)
             x = points[a:b]
             here = rows[: b - a]
             if rankable:
+                augmented = scratch[1].view(np.float32)[: (b - a) * (dim + 1)]
+                augmented = augmented.reshape(b - a, dim + 1)
+                augmented[:, :dim] = x
+                augmented[:, dim] = 1
                 approx = scratch[0].view(np.float32)[: (b - a) * k].reshape(b - a, k)
                 whole = (b - a) // slab * slab
                 np.matmul(
-                    x[:whole].reshape(whole // slab, slab, dim), ranking,
+                    augmented[:whole].reshape(whole // slab, slab, dim + 1), ranking,
                     out=approx[:whole].reshape(whole // slab, slab, k),
                 )
                 if whole < b - a:
-                    np.matmul(x[whole:], ranking, out=approx[whole:])
-                approx += offsets
+                    np.matmul(augmented[whole:], ranking, out=approx[whole:])
                 best = approx.argmin(axis=1)
                 low = approx[here, best].astype(np.float64)
                 approx[here, best] = np.inf
-                runner_up = approx.min(axis=1)
+                runner_up = approx[here, approx.argmin(axis=1)]
                 norm = np.sqrt(np.einsum("ij,ij->i", x, x, dtype=np.float64))
                 reach = (norm + c_max) ** 2
                 recheck = np.flatnonzero(

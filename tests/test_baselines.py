@@ -306,6 +306,67 @@ class TestNearestCenterScan:
         assert [(s.label_changes, s.moved_centers, s.rescanned_points) for s in got.trace] == churn
         assert got.converged == converged
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_near_ties_just_above_a_power_of_two_match_cdist(self, dim, monkeypatch):
+        # Centers and rows just above 2¹², so -2c, |c|², x·c and the sums
+        # all sit just above a power of two, where a float32 rounding errs
+        # by the most for its size. The rows step through the float32
+        # values across the midpoint of two centers. Here the GEMM's error
+        # reaches about a tenth of the rounding bound: with a tenth of the
+        # margin, rows of these pairs take the wrong label.
+        rng = np.random.default_rng(0)
+        rechecked = self.count_rechecked_rows(monkeypatch)
+        steps = np.arange(-3000, 3000)[:, None] * 2.0**-11
+        for _ in range(10):
+            centers = 2.0**12 + rng.uniform(0, 1, size=(2, dim))
+            toward = np.sign(centers[1] - centers[0])
+            points = (centers.mean(axis=0) + steps * toward).astype(np.float32)
+            got = kmeans_fit(points, 2, max_iterations=1, initial_centers=centers)
+            expected = np.argmin(cdist(points.astype(np.float64), centers, "sqeuclidean"), axis=1)
+            assert np.array_equal(got.labels, expected)
+        assert sum(rechecked) > 0
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("case", ["one_center", "one_dimension"])
+    def test_knock_out_edges_match_the_reference(self, case, threads, monkeypatch):
+        # K = 1: with the winner knocked out to +inf there is no finite
+        # runner-up, so no row is near a tie. D = 1: each augmented row is
+        # [x, 1], and half-integer points tie exactly between lattice
+        # centers, so the recheck runs too.
+        if case == "one_center":
+            vectors, _ = generate_synthetic(2000, 8, 4, 0.2, seed=6)
+            k, cap = 1, 5
+        else:
+            rng = np.random.default_rng(8)
+            vectors = (rng.integers(0, 80, size=(5000, 1)) / 2).astype(np.float32)
+            k, cap = 16, 40
+        initial = vectors[np.random.default_rng(4).choice(len(vectors), size=k, replace=False)]
+        rechecked = self.count_rechecked_rows(monkeypatch)
+        got = kmeans_fit(vectors, k, cap, seed=4, threads=threads)
+        assert (sum(rechecked) > 0) == (case == "one_dimension")
+        labels, centers, objectives, churn, converged = _reference_kmeans(vectors, initial, cap)
+        assert np.array_equal(got.labels, labels)
+        assert got.centers.tobytes() == centers.tobytes()
+        assert [(s.objective, s.objective_sq) for s in got.trace] == objectives
+        assert [(s.label_changes, s.moved_centers, s.rescanned_points) for s in got.trace] == churn
+        assert got.converged == converged
+
+    @pytest.mark.parametrize("centers", [[[0.0, 0.0], [2.0, 0.0]], [[2.0, 0.0], [0.0, 0.0]]])
+    def test_exact_float32_ties_are_rechecked_and_go_to_the_lowest_index(self, centers, monkeypatch):
+        # On the integer lattice every GEMM entry is exact: rows with
+        # x₀ = 1 rank both centers at exactly 0, so the runner-up equals the
+        # winner. Every other row leads by at least 4 and skips the recheck.
+        grid = np.stack(np.meshgrid(np.arange(-3, 6), np.arange(-3, 4)), axis=-1)
+        points = grid.reshape(-1, 2).astype(np.float32)
+        centers = np.array(centers)
+        rechecked = self.count_rechecked_rows(monkeypatch)
+        got = kmeans_fit(points, 2, max_iterations=1, initial_centers=centers)
+        tied = points[:, 0] == 1
+        assert sum(rechecked) == np.count_nonzero(tied)
+        assert np.all(got.labels[tied] == 0)
+        expected = np.argmin(cdist(points.astype(np.float64), centers, "sqeuclidean"), axis=1)
+        assert np.array_equal(got.labels, expected)
+
 
 class TestBinarizer:
     def test_rotation_is_orthonormal_and_deterministic(self):

@@ -142,6 +142,29 @@ class TestTrainCodebook:
         book = train_codebook(data, m, l_count, iterations=iterations, seed=seed)
         assert book.codewords.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_matches_the_reference_at_the_benchmark_shape(self, threads):
+        # M=4, L=256 and D/M=8, as in every benchmark workload. A block of
+        # the scan holds 452 rows here, so each range of 6000 / threads
+        # rows spans several blocks and a partial last one.
+        data, _ = generate_synthetic(6000, 32, 100, 0.25, seed=5)
+        expected, emptied = reference_train_codebook(data, 4, 256, 3, seed=5)
+        assert not emptied
+        book = train_codebook(data, 4, 256, iterations=3, seed=5, threads=threads)
+        assert book.codewords.tobytes() == expected.tobytes()
+        points = data.astype(np.float64)
+        codes = np.stack(
+            [
+                np.argmin(
+                    cdist(points[:, 8 * m : 8 * m + 8], expected[m].astype(np.float64), "sqeuclidean"),
+                    axis=1,
+                )
+                for m in range(4)
+            ],
+            axis=1,
+        ).astype(np.uint8)
+        assert encode(book, data, threads=threads).tobytes() == codes.tobytes()
+
     def test_fewer_distinct_subvectors_than_codewords(self):
         # 5 distinct rows repeated 200 times: most of the 16 codewords per
         # subspace start on duplicates, go empty and are re-seeded on the
