@@ -11,7 +11,6 @@ from .baselines import (
     Binarizer,
     bkmeans_fit,
     binarize,
-    cluster_means,
     hamming_to_centers,
     kmeans_fit,
     majority_center,
@@ -36,6 +35,7 @@ from .clustering import (
     update_center_naive,
     update_center_sparse,
 )
+from .lloyd import cluster_means
 from .pq import (
     MAX_CODEWORDS,
     DistanceTables,

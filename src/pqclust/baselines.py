@@ -14,14 +14,16 @@ reference labeling.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .clustering import _histogram_product, _member_histograms, _table_assign, init_centers
-from .lloyd import _BLOCK_ELEMENTS, ClusteringResult, _assigned_sq_distances, _kmeans_assign
-from .lloyd import _lloyd, _means_update_all, _squared_objectives, cluster_means
+from .lloyd import _BLOCK_ELEMENTS, _CHUNK_ROWS, ClusteringResult, _assigned_sq_distances
+from .lloyd import _chunked_means, _kmeans_assign, _lloyd, _means_update_all, _squared_objectives
 from .pq import DistanceTables, _check_finite, _validate_codes
 
 _POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
@@ -305,7 +307,7 @@ def original_space_error(vectors: np.ndarray, labels: np.ndarray) -> float:
 
     Args:
         vectors: Original data of shape (N, D).
-        labels: Cluster index per point, shape (N,).
+        labels: Cluster index per point, shape (N,), each in [0, N).
 
     Returns:
         The mean Euclidean distance as a float.
@@ -318,17 +320,71 @@ def original_space_error(vectors: np.ndarray, labels: np.ndarray) -> float:
         raise ValueError(
             f"labels must have shape ({len(data)},), got {labels.shape}"
         )
-    if len(data) == 0:
+    return streamed_original_space_error(lambda: [data], labels, data.shape[1])
+
+
+def streamed_original_space_error(
+    read_chunks: Callable[[], Iterable[np.ndarray]],
+    labels: np.ndarray,
+    dim: int,
+    labels_name: str = "labels",
+) -> float:
+    """original_space_error of vectors read twice, one chunk at a time.
+
+    The value is original_space_error's to the last bit, whatever the
+    chunk sizes: the cluster sums add each member in row order, and every
+    row's squared distance lands in one N-sized float64 array whose mean
+    is taken as a whole. Besides that array and the labels, a pass holds
+    one chunk and fixed-size scratch.
+
+    Args:
+        read_chunks: Returns a fresh iterable of float32 (n_i, D) chunks
+            that together hold the N vectors in row order; called twice.
+        labels: Cluster index per point, shape (N,), each in [0, N).
+        dim: The vectors' dimension D.
+        labels_name: What the labels are called in error messages.
+
+    Returns:
+        The mean Euclidean distance as a float.
+    """
+    labels = np.asarray(labels)
+    if labels.ndim != 1:
+        raise ValueError(f"labels must be 1-d, got shape {labels.shape}")
+    n = len(labels)
+    if n == 0:
         raise ValueError("cannot evaluate an empty dataset")
-    means = cluster_means(data, labels, int(labels.max()) + 1)
-    scratch = np.empty(max(_BLOCK_ELEMENTS, data.shape[1]))
-    block = max(1, len(scratch) // max(1, data.shape[1]))
-    sq = np.empty(len(data))
-    for a in range(0, len(data), block):
-        _assigned_sq_distances(
-            data[a : a + block], means, labels[a : a + block], scratch, sq[a : a + block]
-        )
+    # No clustering of N points has a label at or above N; checked before
+    # the means, which are sized by the largest label.
+    top = int(labels.max())
+    if top >= n:
+        raise ValueError(f"{labels_name}: label {top} is out of range for {n} points")
+    means = _chunked_means(
+        ((chunk, own) for _, chunk, own in _labeled_chunks(read_chunks(), labels)), top + 1, dim
+    )
+    scratch = np.empty(max(_BLOCK_ELEMENTS, dim))
+    block = max(1, len(scratch) // max(1, dim))
+    sq = np.empty(n)
+    for start, chunk, own in _labeled_chunks(read_chunks(), labels):
+        out = sq[start : start + len(chunk)]
+        for a in range(0, len(chunk), block):
+            _assigned_sq_distances(
+                chunk[a : a + block], means, own[a : a + block], scratch, out[a : a + block]
+            )
     return float(np.mean(np.sqrt(sq)))
+
+
+def _labeled_chunks(chunks, labels):
+    """Yield (first row, chunk, the chunk's labels) per chunk, checking
+    that the chunks hold exactly one row per label."""
+    start = 0
+    for chunk in chunks:
+        stop = start + len(chunk)
+        if stop > len(labels):
+            raise ValueError(f"vectors hold more rows than the {len(labels)} labels")
+        yield start, chunk, labels[start:stop]
+        start = stop
+    if start != len(labels):
+        raise ValueError(f"vectors hold {start} rows, labels {len(labels)}")
 
 
 def rand_index(labels_a: np.ndarray, labels_b: np.ndarray) -> float:
@@ -337,6 +393,11 @@ def rand_index(labels_a: np.ndarray, labels_b: np.ndarray) -> float:
     A pair agrees when both labelings put it in one cluster, or both
     split it. Invariant under label permutation and symmetric in the
     arguments.
+
+    Labelings of non-negative integers whose (max_a + 1) × (max_b + 1)
+    contingency table has at most N cells are counted into that table a
+    chunk of rows at a time; any other pair is sorted. Both give the same
+    three pair counts, so the same value.
 
     Args:
         labels_a: First labeling, shape (N,).
@@ -352,22 +413,42 @@ def rand_index(labels_a: np.ndarray, labels_b: np.ndarray) -> float:
     n = len(a)
     if n < 2:
         return 1.0
-    inv_a = np.unique(a, return_inverse=True)[1].astype(np.int64, copy=False)
-    inv_b = np.unique(b, return_inverse=True)[1]
 
     def same_pairs(counts: np.ndarray) -> int:
         c = counts.astype(np.int64)
         return int(np.sum(c * (c - 1))) // 2
 
-    together_a = same_pairs(np.bincount(inv_a))
-    together_b = same_pairs(np.bincount(inv_b))
-    # The run lengths of the sorted joint labels count its nonempty cells;
-    # a bincount would allocate all Ua * Ub of them.
-    joint = inv_a
-    joint *= int(inv_b.max()) + 1
-    joint += inv_b
-    joint.sort()
-    starts = np.flatnonzero(joint[1:] != joint[:-1]) + 1
-    together_both = same_pairs(np.diff(starts, prepend=0, append=n))
+    shape = _index_count(a), _index_count(b)
+    if shape[0] * shape[1] <= n:
+        table = np.zeros(shape, dtype=np.int64)
+        cells = table.reshape(-1)
+        for start in range(0, n, _CHUNK_ROWS):
+            stop = start + _CHUNK_ROWS
+            joint = a[start:stop].astype(np.intp) * shape[1] + b[start:stop].astype(np.intp)
+            np.add.at(cells, joint, 1)
+        together_a = same_pairs(table.sum(axis=1))
+        together_b = same_pairs(table.sum(axis=0))
+        together_both = same_pairs(cells)
+    else:
+        inv_a = np.unique(a, return_inverse=True)[1].astype(np.int64, copy=False)
+        inv_b = np.unique(b, return_inverse=True)[1]
+        together_a = same_pairs(np.bincount(inv_a))
+        together_b = same_pairs(np.bincount(inv_b))
+        # The run lengths of the sorted joint labels count its nonempty
+        # cells; a bincount would allocate all Ua * Ub of them.
+        joint = inv_a
+        joint *= int(inv_b.max()) + 1
+        joint += inv_b
+        joint.sort()
+        starts = np.flatnonzero(joint[1:] != joint[:-1]) + 1
+        together_both = same_pairs(np.diff(starts, prepend=0, append=n))
     disagreements = (together_a - together_both) + (together_b - together_both)
     return 1.0 - disagreements / (n * (n - 1) // 2)
+
+
+def _index_count(labels: np.ndarray) -> float:
+    """max(labels) + 1 for non-empty labels that are non-negative
+    integers, else infinity."""
+    if not np.issubdtype(labels.dtype, np.integer) or labels.min() < 0:
+        return math.inf
+    return int(labels.max()) + 1

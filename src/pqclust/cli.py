@@ -28,7 +28,8 @@ import scipy
 from . import baselines, clustering, io, pq
 
 _STAGE_IDS = {"synth": 0, "codebook": 1, "encode": 2, "binarize": 3, "cluster": 4}
-_ENCODE_CHUNK = 65536
+# Records of raw vectors that encode and eval hold at a time.
+_VECTOR_CHUNK = 16384
 _BENCH_COLUMNS = [
     "method",
     "n",
@@ -148,8 +149,8 @@ def cmd_encode(args: argparse.Namespace) -> int:
     with io.CodesWriter(
         args.out, n, codebook.num_subspaces, codebook.num_codewords
     ) as writer:
-        for i, chunk in enumerate(io.iter_fvecs(args.data, _ENCODE_CHUNK)):
-            pq._check_finite(chunk, f"{args.data}: vectors", i * _ENCODE_CHUNK)
+        for i, chunk in enumerate(io.iter_fvecs(args.data, _VECTOR_CHUNK)):
+            pq._check_finite(chunk, f"{args.data}: vectors", i * _VECTOR_CHUNK)
             writer.write(pq.encode(codebook, chunk, threads=args.threads))
     print(f"encoded {n} vectors into {args.out}")
     return 0
@@ -388,16 +389,17 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    vectors = io.read_fvecs(args.data)
+    n, dim = io.fvecs_shape(args.data)
     labels = io.read_labels(args.labels)
-    if len(labels) != len(vectors):
+    if len(labels) != n:
         raise ValueError(
-            f"{args.labels} holds {len(labels)} labels but {args.data} "
-            f"holds {len(vectors)} vectors"
+            f"{args.labels} holds {len(labels)} labels but {args.data} holds {n} vectors"
         )
     report: dict[str, object] = {
-        "n": len(vectors),
-        "original_space_error": baselines.original_space_error(vectors, labels),
+        "n": n,
+        "original_space_error": baselines.streamed_original_space_error(
+            lambda: io.iter_fvecs(args.data, _VECTOR_CHUNK), labels, dim, str(args.labels)
+        ),
     }
     if args.reference:
         reference = io.read_labels(args.reference)

@@ -28,7 +28,7 @@ _CHUNK_ROWS = 1 << 16
 # starts BLAS threads of its own beside the range runner's.
 _GEMM_MULADDS = 1 << 18
 
-# Rows per chunk of cluster_means: a chunk's float64 copy and sort keys are
+# Rows per block of cluster_means: a block's float64 copy and sort keys are
 # the whole of its scratch.
 _MEAN_ROWS = 1 << 12
 
@@ -198,35 +198,46 @@ def cluster_means(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     """Per-cluster float64 means; rows of empty clusters are zero.
 
     Each cluster's sum is np.bincount's with weights: float64, from zero,
-    the members added in row order. The rows are taken _MEAN_ROWS at a
-    time. One CSR product over the stack [running sums; chunk as float64]
-    adds a chunk to the sums: row k of the matrix lists sum k first, then
-    the chunk's members of cluster k in row order, and scipy adds a row's
-    entries in that order to zero.
+    the members added in row order.
     """
     points, labels = np.asarray(points), np.asarray(labels)
     n, dim = points.shape
     if labels.shape != (n,):
         raise ValueError(f"labels must have shape ({n},), got {labels.shape}")
+    return _chunked_means([(points, labels)], k, dim)
+
+
+def _chunked_means(chunks, k: int, dim: int) -> np.ndarray:
+    """cluster_means of the rows that chunks yields as (points, labels)
+    pairs in row order, whatever their size.
+
+    The rows are taken _MEAN_ROWS at a time. One CSR product over the stack
+    [running sums; block as float64] adds a block to the sums: row k of the
+    matrix lists sum k first, then the block's members of cluster k in row
+    order, and scipy adds a row's entries in that order to zero. So every
+    sum adds its members one by one in row order, and the means do not
+    depend on how the rows are chunked.
+    """
     key = np.min_scalar_type(max(k - 1, 0))  # narrow sort keys sort by radix
     heads = np.arange(k, dtype=key)
-    stack = np.empty((k + min(n, _MEAN_ROWS), dim))
+    stack = np.empty((k + _MEAN_ROWS, dim))
     ones = np.ones(len(stack))
     sums = np.zeros((k, dim))
     counts = np.zeros(k, dtype=np.intp)
     indptr = np.zeros(k + 1, dtype=np.intp)
-    for a in range(0, n, _MEAN_ROWS):
-        chunk = labels[a : a + _MEAN_ROWS].astype(np.intp)
-        members = np.bincount(chunk, minlength=k)
-        if len(members) > k:
-            raise ValueError(f"labels must lie in [0, {k}), got {chunk.max()}")
-        counts += members
-        np.cumsum(members + 1, out=indptr[1:])
-        order = np.argsort(np.concatenate([heads, chunk.astype(key)]), kind="stable")
-        width = k + len(chunk)
-        stack[:k] = sums
-        stack[k:width] = points[a : a + len(chunk)]
-        sums = csr_array((ones[:width], order, indptr), shape=(k, width)) @ stack[:width]
+    for points, labels in chunks:
+        for a in range(0, len(labels), _MEAN_ROWS):
+            block = labels[a : a + _MEAN_ROWS].astype(np.intp)
+            members = np.bincount(block, minlength=k)
+            if len(members) > k:
+                raise ValueError(f"labels must lie in [0, {k}), got {block.max()}")
+            counts += members
+            np.cumsum(members + 1, out=indptr[1:])
+            order = np.argsort(np.concatenate([heads, block.astype(key)]), kind="stable")
+            width = k + len(block)
+            stack[:k] = sums
+            stack[k:width] = points[a : a + len(block)]
+            sums = csr_array((ones[:width], order, indptr), shape=(k, width)) @ stack[:width]
     return np.divide(sums, counts[:, None], out=np.zeros_like(sums), where=counts[:, None] > 0)
 
 

@@ -23,7 +23,7 @@ from pqclust import (
     unpack_bits,
 )
 from pqclust import lloyd
-from pqclust.baselines import _BINARIZE_ROWS
+from pqclust.baselines import _BINARIZE_ROWS, streamed_original_space_error
 from pqclust.clustering import _BLOCK_ELEMENTS
 from pqclust.lloyd import _MEAN_ROWS
 from pqclust.io import generate_synthetic
@@ -62,6 +62,9 @@ class TestClusterMeans:
         labels = rng.integers(0, k - 1, size=n).astype(np.uint32)  # cluster 6 stays empty
         expected = _bincount_means(points, labels, k)
         assert cluster_means(points, labels, k).tobytes() == expected.tobytes()
+        # Fed in chunks that end inside a block, the sums run in the same order.
+        chunks = [(points[a : a + 5000], labels[a : a + 5000]) for a in range(0, n, 5000)]
+        assert lloyd._chunked_means(chunks, k, 5).tobytes() == expected.tobytes()
         # The same terms summed chunk by chunk, then across chunks, differ.
         counts = np.bincount(labels, minlength=k)[:, None]
         chunked = sum(
@@ -643,6 +646,12 @@ class TestMetrics:
         means = sums / np.maximum(counts, 1)[:, None]
         expected = float(np.mean(np.sqrt(np.sum((points - means[labels]) ** 2, axis=1))))
         assert original_space_error(vectors, labels) == expected
+        # Streamed in chunks that end inside a mean block and a distance block.
+        for chunk in (3000, _MEAN_ROWS + 1):
+            streamed = streamed_original_space_error(
+                lambda: (vectors[a : a + chunk] for a in range(0, n, chunk)), labels, dim
+            )
+            assert streamed == expected
 
     def test_original_space_error_single_cluster(self):
         vectors = np.array([[0.0], [2.0]], dtype=np.float32)
@@ -654,6 +663,25 @@ class TestMetrics:
             original_space_error(np.zeros((3, 2), dtype=np.float32), np.zeros(2))
         with pytest.raises(ValueError, match="empty"):
             original_space_error(np.zeros((0, 2), dtype=np.float32), np.zeros(0))
+        vectors, labels = np.zeros((5, 2), dtype=np.float32), np.zeros(5, dtype=np.uint32)
+        with pytest.raises(ValueError, match="vectors hold 4 rows, labels 5"):
+            streamed_original_space_error(lambda: [vectors[:4]], labels, 2)
+        with pytest.raises(ValueError, match="more rows than the 5 labels"):
+            streamed_original_space_error(lambda: [vectors, vectors[:1]], labels, 2)
+
+    def test_original_space_error_rejects_a_label_at_or_above_n(self):
+        # Checked before the means, which a label of 4e9 would size at
+        # tens of GiB.
+        vectors = np.ones((100, 2), dtype=np.float32)
+        labels = np.zeros(100, dtype=np.uint32)
+        labels[3] = 4_000_000_000
+        with pytest.raises(ValueError, match="label 4000000000 is out of range for 100 points"):
+            original_space_error(vectors, labels)
+        labels[3] = 100
+        with pytest.raises(ValueError, match="label 100 is out of range for 100 points"):
+            original_space_error(vectors, labels)
+        labels[3] = 99
+        assert original_space_error(vectors, labels) == 0.0
 
     def test_rand_index_known_values(self):
         assert rand_index(np.array([0, 0, 1, 1]), np.array([5, 5, 9, 9])) == 1.0
@@ -696,6 +724,41 @@ class TestMetrics:
         assert disagree > 0
         assert got == 1.0 - disagree / (n * (n - 1) // 2)
         assert peak < 64 * n
+
+    def test_rand_index_table_and_sort_paths_agree(self):
+        # The table path counts labelings of non-negative integers whose
+        # (max_a + 1) x (max_b + 1) table has at most N cells; an offset of
+        # 2**40, a negative shift or a float labeling sends either side to
+        # the sort path. One labeling skips most of its label values.
+        rng = np.random.default_rng(21)
+        for n, ka, kb in [(200, 3, 4), (1000, 30, 20), (5000, 70, 70)]:
+            a = rng.integers(0, ka, size=n).astype(np.uint32)
+            b = rng.integers(0, kb, size=n).astype(np.uint32)
+            gapped = np.array([0, 3, 7, 12], dtype=np.uint32)[rng.integers(0, 4, size=n)]
+            for x, y in [(a, b), (a, gapped), (gapped, b)]:
+                counted = rand_index(x, y)
+                assert counted == rand_index(y, x)
+                assert counted == rand_index(x.astype(np.uint64), y)
+                assert counted == rand_index(x.astype(np.uint64) + (1 << 40), y)
+                assert counted == rand_index(x, y.astype(np.uint64) + (1 << 40))
+                assert counted == rand_index(x.astype(np.int64) - 3, y)
+                assert counted == rand_index(x, y.astype(np.float64))
+
+    def test_rand_index_memory_is_a_few_bytes_per_label_at_small_k(self):
+        # 10^6 labels against K=100: the table path holds a 100 x 100 table
+        # and one chunk of joint indices, where sorting holds several
+        # N-sized int64 arrays (about 41 B/label).
+        rng = np.random.default_rng(22)
+        n = 1_000_000
+        a = rng.integers(0, 100, size=n).astype(np.uint32)
+        b = np.where(rng.random(n) < 0.9, a, rng.integers(0, 100, size=n)).astype(np.uint32)
+        tracemalloc.start()
+        try:
+            rand_index(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * n, f"rand_index took {peak / n:.1f} B/label"
 
     def test_rand_index_permutation_invariant(self):
         rng = np.random.default_rng(19)

@@ -1,14 +1,18 @@
 """End-to-end tests of the command line interface.
 
 All commands run in process through cli.main so exit codes and
-diagnostics are observable without spawning interpreters.
+diagnostics are observable without spawning interpreters; only the
+peak-memory test starts a fresh one.
 """
 
 import csv
 import json
 import os
 import platform
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -353,6 +357,89 @@ class TestEval:
         assert "3 labels" in err
 
 
+    def test_streamed_eval_is_exact_across_chunks(self, tmp_path, capsys):
+        # Two stream chunks and one row, so the last file chunk and the last
+        # block of the means hold a single row. Magnitudes from 1e-6 to 1e4
+        # make the float64 sums depend on the order of their terms. Cluster
+        # 5 stays empty.
+        n, k = 2 * cli._VECTOR_CHUNK + 1, 9
+        rng = np.random.default_rng(41)
+        scale = 10.0 ** rng.uniform(-6, 4, size=(n, 1))
+        vectors = (rng.normal(size=(n, 6)) * scale).astype(np.float32)
+        labels = rng.integers(0, k, size=n).astype(np.uint32)
+        labels[labels == 5] = 8
+        truth = rng.integers(0, 4, size=n).astype(np.uint32)
+        io.write_fvecs(tmp_path / "data.fvecs", vectors)
+        io.write_labels(tmp_path / "labels.bin", labels)
+        io.write_labels(tmp_path / "truth.bin", truth)
+        assert cli.main([
+            "eval", "--data", str(tmp_path / "data.fvecs"),
+            "--labels", str(tmp_path / "labels.bin"),
+            "--reference", str(tmp_path / "truth.bin"),
+        ]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["n"] == n
+        assert report["original_space_error"] == baselines.original_space_error(vectors, labels)
+        assert report["rand_index"] == baselines.rand_index(labels, truth)
+
+    def test_out_of_range_label_is_named(self, pipeline, tmp_path, capsys):
+        labels = np.zeros(2000, dtype=np.uint32)
+        labels[7] = 4_000_000_000
+        path = tmp_path / "labels.bin"
+        io.write_labels(path, labels)
+        code = cli.main(["eval", "--data", str(pipeline["data"]), "--labels", str(path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: label 4000000000 is out of range for 2000 points\n"
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="VmHWM is Linux's")
+    def test_eval_peak_stays_far_below_the_file(self, tmp_path):
+        # 2^18 vectors of dimension 32, a 33 MiB file. eval holds the labels,
+        # each point's squared distance and its square root (20 B/pt,
+        # 5 MiB) and a few chunk-sized buffers: it measured a 9.3 MiB rise,
+        # where reading the file whole rose by 44.8 MiB.
+        n, dim, k = 1 << 18, 32, 100
+        rng = np.random.default_rng(43)
+        data = tmp_path / "data.fvecs"
+        io.write_fvecs(data, rng.standard_normal((n, dim), dtype=np.float32))
+        io.write_labels(tmp_path / "labels.bin", rng.integers(0, k, size=n).astype(np.uint32))
+        io.write_labels(tmp_path / "truth.bin", rng.integers(0, k, size=n).astype(np.uint32))
+        io.write_fvecs(tmp_path / "small.fvecs", np.zeros((10, dim), dtype=np.float32))
+        io.write_labels(tmp_path / "small.bin", np.zeros(10, dtype=np.uint32))
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+        env.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-c", _EVAL_PEAK_PROBE, str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        rise = int(proc.stdout.split()[-1])
+        size = data.stat().st_size
+        assert size >= 25 << 20
+        assert rise <= size / 2, f"eval raised peak RSS by {rise / 2**20:.1f} MiB"
+
+
+# Runs eval on small.fvecs, so that every lazily imported module is loaded,
+# then on data.fvecs, and prints the rise in peak RSS across the second run.
+# The peak is VmHWM, the probe's own since its exec: ru_maxrss would start
+# at the peak of the test process that spawned it.
+_EVAL_PEAK_PROBE = """
+import sys
+from pqclust import cli
+def peak():
+    with open("/proc/self/status") as fh:
+        return 1024 * next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+root = sys.argv[1]
+if cli.main(["eval", "--data", root + "/small.fvecs", "--labels", root + "/small.bin",
+             "--reference", root + "/small.bin"]):
+    sys.exit(1)
+before = peak()
+if cli.main(["eval", "--data", root + "/data.fvecs", "--labels", root + "/labels.bin",
+             "--reference", root + "/truth.bin"]):
+    sys.exit(1)
+print(peak() - before)
+"""
+
+
 class TestBench:
     def test_csv_schema_and_rows(self, pipeline, tmp_path):
         out = tmp_path / "bench.csv"
@@ -526,8 +613,8 @@ class TestDiagnostics:
     def test_non_finite_vector_is_named_and_keeps_previous_codes(
         self, pipeline, tmp_path, capsys
     ):
-        # Record 70000 lies in the second encode chunk, after the first
-        # chunk's codes were written.
+        # Record 70000 lies past the first encode chunk, after that chunk's
+        # codes were written.
         rng = np.random.default_rng(31)
         vectors = rng.normal(size=(70_010, 8)).astype(np.float32)
         vectors[70_000, 5] = np.nan

@@ -529,23 +529,27 @@ class TestWorkingSet:
 
 # Fits 2M random codes (M=4, L=256) into K=32 clusters for 3 iterations on
 # one thread and prints the rise in peak RSS over the loaded codes and
-# tables, after a small fit has loaded every lazily imported module.
+# tables, after a small fit has loaded every lazily imported module. The
+# peak is VmHWM, the probe's own since its exec: ru_maxrss would start at
+# the peak of the test process that spawned it.
 _WORKING_SET_PROBE = """
-import resource
 import numpy as np
 from pqclust import PQCodebook, build_distance_tables, fit
+def peak():
+    with open("/proc/self/status") as fh:
+        return 1024 * next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
 n, k = 2_000_000, 32
 rng = np.random.default_rng(0)
 tables = build_distance_tables(PQCodebook(rng.normal(size=(4, 256, 2)).astype(np.float32)))
 codes = rng.integers(0, 256, size=(n, 4), dtype=np.uint8)
 fit(codes[:5000], tables, k, 2, 0)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+before = peak()
 fit(codes, tables, k, 3, 0)
-print(1024 * (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before))
+print(peak() - before)
 """
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is KiB on Linux")
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="VmHWM is Linux's")
 def test_fit_peak_stays_within_the_working_set_figure():
     env = dict(os.environ, PYTHONPATH=str(Path(pqclust.__file__).resolve().parent.parent))
     env.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
