@@ -50,8 +50,8 @@ def kmeans_fit(
 
     Assignment picks the nearest center by squared Euclidean distance
     (lowest index on ties), the update step recomputes cluster means in
-    double precision. Stops when the objective (mean distance to the
-    assigned center) repeats exactly, or at the iteration cap. Empty
+    double precision. Converges when an update moves no center (a fixed
+    point of the two steps), or stops at the iteration cap. Empty
     clusters are re-seeded on the point farthest from its assigned
     center. Deterministic for fixed inputs and seed, independent of the
     thread count.
@@ -249,9 +249,9 @@ def bkmeans_fit(
     """K-means on packed binary codes.
 
     Assignment minimizes the Hamming distance (lowest index on ties),
-    the update step takes per-bit majority votes. Stop rule and
-    empty-cluster repair match kmeans_fit. The trace objective is the
-    mean Hamming distance to the assigned center.
+    the update step takes per-bit majority votes. Converges when an
+    update moves no center; the empty-cluster repair matches kmeans_fit.
+    The trace objective is the mean Hamming distance to the assigned center.
 
     B-bit codes are PQ codes of B/8 byte subspaces whose table is the
     byte Hamming distance, so the run shares fit's loop, table scan and

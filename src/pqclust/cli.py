@@ -83,7 +83,6 @@ def _add_method_inputs(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--binary-codes", default=None, help="binary code file (bkmeans)")
     parser.add_argument("--bits", type=int, default=None, help="binarize --data to this many bits")
     parser.add_argument("--binary-codes-out", default=None, help="persist binarized codes here")
-    parser.add_argument("--update", choices=["sparse", "naive"], default="sparse")
 
 
 def _check_common(args: argparse.Namespace) -> None:
@@ -241,7 +240,7 @@ def _run_method(args: argparse.Namespace, inputs: _Inputs, method: str, k: int):
             raise ValueError("method pqkmeans needs --codes and --codebook")
         codes, l_count, tables = inputs.codes
         m = codes.shape[1]
-        result = clustering.fit(codes, tables, k, update=args.update, **fit_args)
+        result = clustering.fit(codes, tables, k, **fit_args)
         nnz = [
             s.mean_histogram_nnz for s in result.trace if s.mean_histogram_nnz is not None
         ]
@@ -252,7 +251,7 @@ def _run_method(args: argparse.Namespace, inputs: _Inputs, method: str, k: int):
             mean_histogram_nnz=float(np.mean(nnz)) if nnz else "",
             memory_bytes=clustering.estimate_memory(len(codes), k, m, l_count).total_bytes,
         )
-        if args.time_naive_update and args.update == "sparse":
+        if args.time_naive_update:
             naive = clustering.fit(codes, tables, k, update="naive", **fit_args)
             if not np.array_equal(naive.labels, result.labels):
                 raise ValueError(
@@ -334,7 +333,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
             "max_iterations": args.max_iterations,
             "seed": args.seed,
             "threads": args.threads,
-            "update": args.update,
             "codes": args.codes,
             "codebook": args.codebook,
             "data": args.data,

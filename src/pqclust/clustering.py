@@ -395,8 +395,8 @@ def fit(
     """Cluster PQ codes with k-means in the compressed domain.
 
     Centers are initialized by sampling K input codes, then assignment
-    and center update alternate. The run stops when the objective value
-    repeats exactly between consecutive iterations, or after
+    and center update alternate. The run converges when an update moves
+    no center (a fixed point of the two steps), or stops after
     max_iterations. Empty clusters are re-seeded on the code farthest
     from its assigned center (lowest index on ties) and counted in the
     trace. Deterministic for fixed inputs and seed, independent of the

@@ -50,8 +50,9 @@ class IterationStats:
     label_changes counts the points whose label differs from the previous
     iteration's, moved_centers the centers whose code differs from the
     previous iteration's, and rescanned_points the points compared against
-    every center. The first iteration reports N, K and N. fit, kmeans_fit
-    and bkmeans_fit fill all three.
+    every center. The first iteration reports N, K and N. An iteration
+    that moved no center skips its assignment, reports 0, 0 and 0 and ends
+    the run. fit, kmeans_fit and bkmeans_fit fill all three.
     """
 
     iteration: int
@@ -78,8 +79,8 @@ class ClusteringResult:
             coincide.
         trace: One IterationStats per executed iteration.
         iterations_run: len(trace).
-        converged: True when the objective repeated exactly between two
-            consecutive iterations before the iteration cap.
+        converged: True when an update moved no center before the cap: the
+            last trace entry has moved_centers == label_changes == 0.
     """
 
     centers: np.ndarray
@@ -132,28 +133,28 @@ def _lloyd(codes, centers, max_iterations, threads, assign_step, update_all, obj
     assign_step(centers, moved, labels, dists, run) writes each point's
     nearest center and its distance to it, and returns (labels changed,
     points rescanned). moved is None on the first call, which scans every
-    point, then the indices of the centers that changed; no change skips
-    the step. objectives(dists) gives the trace's (objective, objective_sq).
+    point, then the indices of the centers that changed; when none did, the
+    loop skips the step and stops, converged at a fixed point.
+    objectives(dists) gives the trace's (objective, objective_sq).
     update_all(codes, labels, counts) returns the new centers and the mean
-    histogram support, NaN for none. The loop stops when the objective
-    repeats exactly. Each empty cluster is re-seeded on a different row of
-    codes, the one with the largest kept distance to the center it was
-    assigned to (lowest index on ties).
+    histogram support, NaN for none. Each empty cluster is re-seeded on a
+    different row of codes, the one with the largest kept distance to the
+    center it was assigned to (lowest index on ties).
     """
     n, k = len(codes), len(centers)
     trace: list[IterationStats] = []
     labels = np.empty(n, dtype=np.uint32)
     dists = np.empty(n, dtype=np.float64)
     assigned_to = None  # the centers that labels and dists were scanned against
-    previous = None
     with _range_runner(threads, n, max(k, codes.shape[1])) as run:
         for iteration in range(1, max_iterations + 1):
             start = time.perf_counter()
             moved = None
             if assigned_to is not None:
                 moved = np.flatnonzero(np.any(centers != assigned_to, axis=1))
+            converged = moved is not None and not len(moved)
             changes = rescanned = 0
-            if moved is None or len(moved):
+            if not converged:
                 changes, rescanned = assign_step(centers, moved, labels, dists, run)
             assigned_to = centers
             assign_seconds = time.perf_counter() - start
@@ -166,7 +167,7 @@ def _lloyd(codes, centers, max_iterations, threads, assign_step, update_all, obj
                 rescanned_points=rescanned,
             )
             trace.append(stats)
-            if previous is not None and objective == previous:
+            if converged:
                 return ClusteringResult(centers, labels, trace, len(trace), True)
 
             start = time.perf_counter()
@@ -182,7 +183,6 @@ def _lloyd(codes, centers, max_iterations, threads, assign_step, update_all, obj
             stats.update_seconds = time.perf_counter() - start
             stats.repaired_clusters = len(empty)
             stats.mean_histogram_nnz = None if math.isnan(mean_nnz) else mean_nnz
-            previous = objective
     return ClusteringResult(centers, labels, trace, len(trace), False)
 
 

@@ -139,8 +139,8 @@ def train_codebook(
     algorithm, k = L, in float64 on the package's Lloyd driver. Initial
     codewords are sampled from the training sub-vectors under the given
     seed, one shared generator drawing the M samples in subspace order.
-    A subspace runs `iterations` iterations, or stops early when its
-    objective (mean distance to the assigned codeword) repeats exactly.
+    A subspace runs `iterations` iterations, or stops early when an
+    update moves no codeword.
     A codeword left with no assigned vectors is re-seeded on the training
     sub-vector farthest from the codeword it was assigned to before the
     update, not from the updated mean (lowest index on ties). The result

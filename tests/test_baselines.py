@@ -223,34 +223,34 @@ class TestKmeans:
 def _reference_kmeans(vectors, centers, max_iterations):
     """Lloyd k-means as one loop over float64 copies: the full cdist matrix,
     argmin, an N × D objective pass, means from one bincount per column and
-    the farthest-point repair, with the objective stop rule. Returns labels, centers, the
-    trace's (objective, objective_sq) pairs and (label_changes,
-    moved_centers, rescanned_points) triples, and the converged flag."""
+    the farthest-point repair; it stops when the update reproduced the
+    previous centers. Returns labels, centers, the trace's (objective,
+    objective_sq) pairs and (label_changes, moved_centers, rescanned_points)
+    triples, and the converged flag."""
     points = vectors.astype(np.float64)
     centers = centers.astype(np.float64)
     n, k = len(points), len(centers)
     objectives, churn = [], []
-    labels = assigned_to = previous = None
+    labels = assigned_to = None
     for _ in range(max_iterations):
         before = labels
         labels = np.argmin(cdist(points, centers, "sqeuclidean"), axis=1)
         sq = np.sum((points - centers[labels]) ** 2, axis=1)
-        objective = float(np.mean(np.sqrt(sq)))
-        objectives.append((objective, float(np.mean(sq))))
+        objectives.append((float(np.mean(np.sqrt(sq))), float(np.mean(sq))))
         if before is None:
             churn.append((n, k, n))
         else:
             moved = int(np.any(centers != assigned_to, axis=1).sum())
             churn.append((int(np.sum(labels != before)), moved, n) if moved else (0, 0, 0))
+            if not moved:
+                return labels, centers, objectives, churn, True
         assigned_to = centers
-        if objective == previous:
-            return labels, centers, objectives, churn, True
         updated = _bincount_means(points, labels, k)
         for ki in np.flatnonzero(np.bincount(labels, minlength=k) == 0):
             far = int(np.argmax(sq))
             updated[ki] = points[far]
             sq[far] = -np.inf
-        centers, previous = updated, objective
+        centers = updated
     return labels, centers, objectives, churn, False
 
 
@@ -590,9 +590,10 @@ def _noisy_codes(rng, prototypes, n, flip):
 
 def _reference_bkmeans(packed, centers, max_iterations):
     """Bk-means from the reference functions: the full Hamming matrix, argmin,
-    and one majority_center call per cluster, with the objective stop rule
-    and the farthest-point repair. Returns labels, centers, the trace's
-    (objective, objective_sq) pairs and the converged flag."""
+    and one majority_center call per cluster, and the farthest-point repair;
+    it stops when the update reproduced the previous centers. Returns
+    labels, centers, the trace's (objective, objective_sq) pairs and the
+    converged flag."""
     n, width = packed.shape
     k = len(centers)
     objectives = []
@@ -601,9 +602,8 @@ def _reference_bkmeans(packed, centers, max_iterations):
         distances = hamming_to_centers(packed, centers)
         labels = np.argmin(distances, axis=1)
         own = distances[np.arange(n), labels].astype(np.float64)
-        objective = float(np.mean(own))
-        objectives.append((objective, float(np.mean(own**2))))
-        if objective == previous:
+        objectives.append((float(np.mean(own)), float(np.mean(own**2))))
+        if previous is not None and np.array_equal(centers, previous):
             return labels, centers, objectives, True
         updated = np.zeros_like(centers)
         counts = np.bincount(labels, minlength=k)
@@ -614,7 +614,7 @@ def _reference_bkmeans(packed, centers, max_iterations):
             far = int(np.argmax(own))
             updated[ki] = packed[far]
             own[far] = -np.inf
-        centers, previous = updated, objective
+        centers, previous = updated, centers
     return labels, centers, objectives, False
 
 

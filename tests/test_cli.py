@@ -275,14 +275,6 @@ class TestPipeline:
         doc_many = io.load_result_document(many / "result.json")
         assert doc_one["objective"] == doc_many["objective"]
 
-    def test_naive_update_matches_sparse(self, pipeline, tmp_path):
-        sparse = tmp_path / "sparse"
-        naive = tmp_path / "naive"
-        assert run_cluster(pipeline, sparse, "--update", "sparse") == 0
-        assert run_cluster(pipeline, naive, "--update", "naive") == 0
-        assert (sparse / "labels.bin").read_bytes() == (naive / "labels.bin").read_bytes()
-        assert (sparse / "centers.pqkc").read_bytes() == (naive / "centers.pqkc").read_bytes()
-
 
 class TestBaselineMethods:
     def test_kmeans_writes_fvecs_centers(self, pipeline, tmp_path):

@@ -385,7 +385,7 @@ class TestFit:
         # moves center 1 to 8. Iteration 2 rescans the three points of
         # center 1 and hands point 6 (9 from 3, 4 from 8) to it; center 0
         # then moves to 2. Iteration 3 rescans {1, 3, 3}, nothing changes,
-        # and no center moves, so iteration 4 repeats the objective.
+        # and no center moves, so iteration 4 skips its assignment and stops.
         tables = lattice_tables(1, 16)
         codes = np.array([1, 3, 3, 6, 7, 9, 9], dtype=np.uint8).reshape(-1, 1)
         initial = np.array([[3], [10]], dtype=np.uint8)
@@ -397,6 +397,20 @@ class TestFit:
         assert result.converged
         assert np.array_equal(result.labels, [0, 0, 0, 1, 1, 1, 1])
         assert np.array_equal(result.centers, [[2], [8]])
+
+    def test_converged_fit_ends_at_a_fixed_point(self):
+        # K=8 over 41 codes of 8 values: repairs land on codes that other
+        # centers hold, and the objective repeats while centers still move.
+        # Convergence must wait until an update moves no center.
+        rng = np.random.default_rng(236)
+        n, k = int(rng.integers(20, 60)), int(rng.integers(6, 9))
+        tables = random_tables(1, 8, seed=236)
+        codes = rng.integers(0, 8, (n, 1)).astype(np.uint8)
+        result = fit(codes, tables, k, 15, seed=236)
+        assert result.converged
+        last = result.trace[-1]
+        assert (last.label_changes, last.moved_centers, last.rescanned_points) == (0, 0, 0)
+        assert np.array_equal(assign(codes, result.centers, tables), result.labels)
 
     @pytest.mark.parametrize("threads", [1, 2, 8])
     @pytest.mark.parametrize(
