@@ -23,7 +23,8 @@ import numpy as np
 
 from .clustering import _histogram_product, _member_histograms, _table_assign, init_centers
 from .lloyd import _BLOCK_ELEMENTS, _CHUNK_ROWS, ClusteringResult, _assigned_sq_distances
-from .lloyd import _chunked_means, _kmeans_assign, _lloyd, _means_update_all, _squared_objectives
+from .lloyd import _chunked_means, _kmeans_assign, _lloyd, _mean_of, _means_update_all
+from .lloyd import _pairwise_sum, _squared_objectives
 from .pq import DistanceTables, _check_finite, _validate_codes
 
 _POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
@@ -234,7 +235,7 @@ def _majority_update_all(codes, labels, counts):
 
 def _bkmeans_objectives(dists: np.ndarray) -> tuple[float, float]:
     """Mean Hamming distance and mean squared Hamming distance."""
-    return float(np.mean(dists)), float(np.mean(np.square(dists)))
+    return float(np.mean(dists)), _mean_of(np.square, dists)
 
 
 def bkmeans_fit(
@@ -331,11 +332,13 @@ def streamed_original_space_error(
 ) -> float:
     """original_space_error of vectors read twice, one chunk at a time.
 
-    The value is original_space_error's to the last bit, whatever the
-    chunk sizes: the cluster sums add each member in row order, and every
-    row's squared distance lands in one N-sized float64 array whose mean
-    is taken as a whole. Besides that array and the labels, a pass holds
-    one chunk and fixed-size scratch.
+    The value is np.mean(np.sqrt(sq)) of the N squared distances to the
+    last bit, whatever the chunk sizes: the cluster sums add each member in
+    row order, and the second pass writes the squared distances of one
+    leaf of lloyd._pairwise_sum at a time, whose leaves are fixed by N
+    alone, and folds the leaves' sums as np.add.reduce would. Besides the
+    labels, a pass holds one chunk, one leaf of 2**16 distances and
+    fixed-size scratch.
 
     Args:
         read_chunks: Returns a fresh iterable of float32 (n_i, D) chunks
@@ -363,14 +366,30 @@ def streamed_original_space_error(
     )
     scratch = np.empty(max(_BLOCK_ELEMENTS, dim))
     block = max(1, len(scratch) // max(1, dim))
-    sq = np.empty(n)
-    for start, chunk, own in _labeled_chunks(read_chunks(), labels):
-        out = sq[start : start + len(chunk)]
-        for a in range(0, len(chunk), block):
+    pieces = (
+        (chunk[a : a + block], own[a : a + block])
+        for _, chunk, own in _labeled_chunks(read_chunks(), labels)
+        for a in range(0, len(chunk), block)
+    )
+    rows = own = labels[:0]  # what the current piece has left
+    sq = np.empty(min(n, _CHUNK_ROWS))
+
+    def leaf(a, b):
+        nonlocal rows, own
+        filled = 0
+        while filled < b - a:
+            if not len(own):
+                rows, own = next(pieces)
+            take = min(len(own), b - a - filled)
             _assigned_sq_distances(
-                chunk[a : a + block], means, own[a : a + block], scratch, out[a : a + block]
+                rows[:take], means, own[:take], scratch, sq[filled : filled + take]
             )
-    return float(np.mean(np.sqrt(sq)))
+            rows, own, filled = rows[take:], own[take:], filled + take
+        return np.add.reduce(np.sqrt(sq[: b - a]))
+
+    total = _pairwise_sum(n, leaf)
+    next(pieces, None)  # ends the stream, which checks its row count
+    return float(total / n)
 
 
 def _labeled_chunks(chunks, labels):

@@ -20,7 +20,7 @@ from scipy import sparse
 
 # IterationStats is imported so that callers can still name it here.
 from .lloyd import _BLOCK_ELEMENTS, _CHUNK_ROWS, ClusteringResult, IterationStats, _lloyd
-from .lloyd import _range_runner, _squared_objectives
+from .lloyd import _mean_of, _range_runner, _squared_objectives
 from .pq import DistanceTables, _validate_codes, paired_distance_sq
 
 # Rows per selection group of the incremental assignment: each group picks
@@ -302,7 +302,7 @@ def pq_cost(
 ) -> float:
     """Mean symmetric distance (non-squared) of points to assigned centers."""
     sd_sq = _assigned_distance_sq(codes, centers, assignment, tables)
-    return float(np.mean(np.sqrt(sd_sq))) if len(sd_sq) else 0.0
+    return _mean_of(np.sqrt, sd_sq) if len(sd_sq) else 0.0
 
 
 def pq_cost_sq(
@@ -514,14 +514,14 @@ def estimate_working_set(
     * the uint32 labels, 4 bytes per point;
     * dists, each point's float64 squared distance to its center, kept for
       the whole run: 8 bytes per point;
-    * the objective's np.sqrt(dists), 8 bytes per point; it is the largest
-      temporary of an iteration and sets the peak;
     * two float64 scan blocks of max(2**16, K) elements per thread;
     * the float64 distance tables, M * L * L * 8 bytes, and the center
       columns the scan gathers from, M * L * K * 8 bytes.
 
     Every other pass over the N points holds one fixed-size chunk of
-    scratch. Pure arithmetic, no allocation.
+    scratch: the objective takes its square roots 2**16 at a time, and the
+    farthest-point repair keeps one chunk of candidates and at most K
+    indices. Pure arithmetic, no allocation.
     """
     if n < 0 or k < 0:
         raise ValueError(f"n and k must be non-negative, got n={n}, k={k}")
@@ -530,7 +530,7 @@ def estimate_working_set(
             f"need M >= 1, L >= 2 and threads >= 1, got M={num_subspaces}, "
             f"L={num_codewords}, threads={threads}"
         )
-    per_point = num_subspaces + 4 + 8 + 8
+    per_point = num_subspaces + 4 + 8
     scratch = 2 * 8 * max(_BLOCK_ELEMENTS, k) * max(1, min(threads, n))
     tables = 8 * num_subspaces * num_codewords * (num_codewords + k)
     return per_point * n + scratch + tables

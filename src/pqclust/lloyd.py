@@ -122,9 +122,53 @@ def _range_runner(threads: int, n: int, width: int):
         yield run
 
 
+def _pairwise_sum(n: int, leaf, start: int = 0):
+    """np.add.reduce of n float64 values to the last bit, from the sums of
+    consecutive leaves: leaf(a, b) returns np.add.reduce of values [a, b),
+    and is called on ranges of at most _CHUNK_ROWS rows, in row order.
+
+    np.add.reduce on a contiguous float64 array is a pairwise sum (Higham,
+    "The accuracy of floating point summation", SIAM J. Sci. Comput. 1993):
+    a range longer than 128 splits at n/2, rounded down to a multiple of 8,
+    and adds its two halves' sums. This makes the same splits down to
+    ranges of at most _CHUNK_ROWS, where numpy's sum of the range is the
+    sum of that subtree. The leaves are fixed by n alone.
+    """
+    if n <= _CHUNK_ROWS:
+        return leaf(start, start + n)
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(half, leaf, start) + _pairwise_sum(n - half, leaf, start + half)
+
+
+def _mean_of(f, x: np.ndarray) -> float:
+    """float(np.mean(f(x))) of a 1-d float64 x and an elementwise f, to the
+    last bit, holding f of one leaf of _pairwise_sum at a time."""
+    return float(_pairwise_sum(len(x), lambda a, b: np.add.reduce(f(x[a:b]))) / len(x))
+
+
 def _squared_objectives(dists: np.ndarray) -> tuple[float, float]:
     """Mean distance and mean squared distance from squared distances."""
-    return float(np.mean(np.sqrt(dists))), float(np.mean(dists))
+    return _mean_of(np.sqrt, dists), float(np.mean(dists))
+
+
+def _farthest(dists: np.ndarray, e: int) -> np.ndarray:
+    """Indices of the e largest dists, largest first, lowest index on ties:
+    the rows that e rounds of argmax, each setting its pick to -inf, visit.
+
+    Scans _CHUNK_ROWS rows at a time and holds the e best so far and one
+    chunk's candidates. Once e are held, a later row enters only by
+    exceeding the least of them, since it loses a tie on its index.
+    """
+    best = np.empty(0, dtype=np.intp)
+    for a in range(0, len(dists), _CHUNK_ROWS):
+        chunk = dists[a : a + _CHUNK_ROWS]
+        rows = np.flatnonzero(chunk > (dists[best[-1]] if len(best) == e else -np.inf))
+        if len(rows) > e:
+            values = chunk[rows]
+            rows = rows[values >= np.partition(values, len(rows) - e)[len(rows) - e]]
+        rows = np.concatenate([best, rows + a])
+        best = rows[np.lexsort((rows, -dists[rows]))[:e]]
+    return best
 
 
 def _lloyd(codes, centers, max_iterations, threads, assign_step, update_all, objectives):
@@ -137,9 +181,9 @@ def _lloyd(codes, centers, max_iterations, threads, assign_step, update_all, obj
     loop skips the step and stops, converged at a fixed point.
     objectives(dists) gives the trace's (objective, objective_sq).
     update_all(codes, labels, counts) returns the new centers and the mean
-    histogram support, NaN for none. Each empty cluster is re-seeded on a
-    different row of codes, the one with the largest kept distance to the
-    center it was assigned to (lowest index on ties).
+    histogram support, NaN for none. The empty clusters, in index order,
+    are re-seeded on the rows of codes with the largest kept distances to
+    the centers they were assigned to, largest first, lowest index on ties.
     """
     n, k = len(codes), len(centers)
     trace: list[IterationStats] = []
@@ -175,11 +219,7 @@ def _lloyd(codes, centers, max_iterations, threads, assign_step, update_all, obj
             centers, mean_nnz = update_all(codes, labels, counts)
             empty = np.flatnonzero(counts == 0)
             if len(empty):
-                own = dists.copy()
-                for ki in empty:
-                    far = int(np.argmax(own))
-                    centers[ki] = codes[far]
-                    own[far] = -np.inf
+                centers[empty] = codes[_farthest(dists, len(empty))]
             stats.update_seconds = time.perf_counter() - start
             stats.repaired_clusters = len(empty)
             stats.mean_histogram_nnz = None if math.isnan(mean_nnz) else mean_nnz

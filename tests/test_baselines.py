@@ -653,6 +653,57 @@ class TestMetrics:
             )
             assert streamed == expected
 
+    def test_streamed_error_is_exact_across_leaves(self):
+        # 150 001 rows are four leaves of the streamed mean; magnitudes from
+        # 1e-6 to 1e6 make its float64 sum depend on the order of its terms.
+        n, dim, k = 150_001, 2, 13
+        rng = np.random.default_rng(47)
+        scale = 10.0 ** rng.uniform(-6, 6, size=(n, 1))
+        vectors = (rng.normal(size=(n, dim)) * scale).astype(np.float32)
+        labels = rng.integers(0, k, size=n).astype(np.uint32)
+        points = vectors.astype(np.float64)
+        counts = np.bincount(labels, minlength=k)
+        sums = np.stack([np.bincount(labels, weights=column, minlength=k) for column in points.T], axis=1)
+        means = sums / np.maximum(counts, 1)[:, None]
+        dists = np.sqrt(np.sum((points - means[labels]) ** 2, axis=1))
+        expected = float(np.mean(dists))
+        leaves = []
+        lloyd._pairwise_sum(n, lambda a, b: leaves.append(a) or 0.0)
+        assert len(leaves) == 4
+        # The leaf sums added left to right give other bits on these data.
+        ends = leaves[1:] + [n]
+        assert float(sum(np.add.reduce(dists[a:b]) for a, b in zip(leaves, ends)) / n) != expected
+        # One-row chunks for 200 rows on each side of every leaf boundary,
+        # larger ones between: all one-row chunks would take seconds.
+        cuts = sorted({0, n} | {c for a in leaves[1:] for c in range(a - 200, a + 201)})
+        ragged = [vectors[a:b] for a, b in zip(cuts, cuts[1:])]
+        assert streamed_original_space_error(lambda: ragged, labels, dim) == expected
+        for chunk in (1000, 16384, 70000, n):
+            streamed = streamed_original_space_error(
+                lambda: (vectors[a : a + chunk] for a in range(0, n, chunk)), labels, dim
+            )
+            assert streamed == expected, chunk
+
+    def test_streamed_error_scratch_does_not_grow_with_n(self):
+        # Besides the labels, the second pass holds one leaf of squared
+        # distances, never an N-sized array of them.
+        rng = np.random.default_rng(45)
+        vectors = rng.normal(size=(1 << 20, 2)).astype(np.float32)
+        labels = rng.integers(0, 16, size=1 << 20).astype(np.uint32)
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                streamed_original_space_error(
+                    lambda: (vectors[a : min(a + 16384, n)] for a in range(0, n, 16384)),
+                    labels[:n], 2,
+                )
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(1 << 20) <= peak(1 << 16) + (64 << 10)
+
     def test_original_space_error_single_cluster(self):
         vectors = np.array([[0.0], [2.0]], dtype=np.float32)
         labels = np.zeros(2, dtype=np.uint32)

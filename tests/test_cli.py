@@ -386,10 +386,10 @@ class TestEval:
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="VmHWM is Linux's")
     def test_eval_peak_stays_far_below_the_file(self, tmp_path):
-        # 2^18 vectors of dimension 32, a 33 MiB file. eval holds the labels,
-        # each point's squared distance and its square root (20 B/pt,
-        # 5 MiB) and a few chunk-sized buffers: it measured a 9.3 MiB rise,
-        # where reading the file whole rose by 44.8 MiB.
+        # 2^18 vectors of dimension 32, a 33 MiB file. eval holds the labels
+        # (4 B/pt, 1 MiB) and a few chunk-sized buffers: it measured a
+        # 7.7 MiB rise, 9.3 MiB when it kept every point's squared distance
+        # and its square root, and 44.8 MiB when it read the file whole.
         n, dim, k = 1 << 18, 32, 100
         rng = np.random.default_rng(43)
         data = tmp_path / "data.fvecs"

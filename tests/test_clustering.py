@@ -18,6 +18,7 @@ from pqclust import (
     estimate_working_set,
     fit,
     init_centers,
+    paired_distance_sq,
     pq_cost,
     pq_cost_sq,
     update_center_naive,
@@ -274,6 +275,18 @@ class TestCosts:
         assert pq_cost_sq(codes, centers, labels, tables) == pytest.approx(2.0 / 3.0)
         assert pq_cost(codes, centers, labels, tables) == pytest.approx(2.0 / 3.0)
 
+    def test_cost_is_the_mean_of_the_whole_sqrt_array(self):
+        # Several leaves of the streamed mean, and random tables whose
+        # distances make the float64 sum depend on its order.
+        rng = np.random.default_rng(44)
+        tables = random_tables(4, 256, seed=44)
+        codes = rng.integers(0, 256, size=(3 * _CHUNK_ROWS + 5, 4), dtype=np.uint8)
+        centers = rng.integers(0, 256, size=(9, 4), dtype=np.uint8)
+        labels = rng.integers(0, 9, size=len(codes)).astype(np.uint32)
+        sq = paired_distance_sq(tables, codes, centers[labels])
+        assert pq_cost(codes, centers, labels, tables) == float(np.mean(np.sqrt(sq)))
+        assert pq_cost_sq(codes, centers, labels, tables) == float(np.mean(sq))
+
     def test_cost_validation(self):
         tables = lattice_tables(1, 4)
         codes = np.zeros((3, 1), dtype=np.uint8)
@@ -516,8 +529,8 @@ class TestMemoryEstimate:
 
 class TestWorkingSet:
     def test_component_arithmetic(self):
-        # M=4: 4 bytes of codes, 4 of labels, 8 of dists, 8 of sqrt(dists).
-        per_point = 24
+        # M=4: 4 bytes of codes, 4 of labels, 8 of dists.
+        per_point = 16
         scratch = 2 * 8 * 2**16
         tables = 8 * 4 * 256 * (256 + 100)
         assert estimate_working_set(1000, 100, 4, 256) == 1000 * per_point + scratch + tables
@@ -530,7 +543,7 @@ class TestWorkingSet:
         big_k = 2**17
         assert estimate_working_set(0, big_k, 1, 2) == 2 * 8 * big_k + 8 * 2 * (2 + big_k)
         figure = estimate_working_set(10**9, 10**5, 4, 256, threads=2)
-        assert 24 * 10**9 < figure < 25 * 10**9
+        assert 16 * 10**9 < figure < 17 * 10**9
 
     def test_validation(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -541,25 +554,27 @@ class TestWorkingSet:
             estimate_working_set(1, 1, 0, 4)
 
 
-# Fits 2M random codes (M=4, L=256) into K=32 clusters for 3 iterations on
-# one thread and prints the rise in peak RSS over the loaded codes and
+# Fits 2M random codes (M=4, L=256) whose bytes take `values` distinct
+# values into K=32 clusters for 3 iterations on one thread, and prints the
+# clusters repaired and the rise in peak RSS over the loaded codes and
 # tables, after a small fit has loaded every lazily imported module. The
 # peak is VmHWM, the probe's own since its exec: ru_maxrss would start at
 # the peak of the test process that spawned it.
 _WORKING_SET_PROBE = """
+import sys
 import numpy as np
 from pqclust import PQCodebook, build_distance_tables, fit
 def peak():
     with open("/proc/self/status") as fh:
         return 1024 * next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
-n, k = 2_000_000, 32
+n, k, values = 2_000_000, 32, int(sys.argv[1])
 rng = np.random.default_rng(0)
 tables = build_distance_tables(PQCodebook(rng.normal(size=(4, 256, 2)).astype(np.float32)))
-codes = rng.integers(0, 256, size=(n, 4), dtype=np.uint8)
+codes = rng.integers(0, values, size=(n, 4), dtype=np.uint8)
 fit(codes[:5000], tables, k, 2, 0)
 before = peak()
-fit(codes, tables, k, 3, 0)
-print(peak() - before)
+result = fit(codes, tables, k, 3, 0)
+print(sum(stats.repaired_clusters for stats in result.trace), peak() - before)
 """
 
 
@@ -567,14 +582,19 @@ print(peak() - before)
 def test_fit_peak_stays_within_the_working_set_figure():
     env = dict(os.environ, PYTHONPATH=str(Path(pqclust.__file__).resolve().parent.parent))
     env.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    proc = subprocess.run(
-        [sys.executable, "-c", _WORKING_SET_PROBE],
-        env=env, capture_output=True, text=True, timeout=300, check=True,
-    )
-    rise = int(proc.stdout.split()[-1])
     n, k, m, l_count = 2_000_000, 32, 4, 256
     # The figure less what the fit was given: the codes and the tables.
     held = estimate_working_set(n, k, m, l_count) - n * m - 8 * m * l_count * l_count
-    # An N-sized intp index array (8 B/pt) more than the figure's 20 B/pt
-    # above the codes exceeds this factor.
-    assert rise <= 1.25 * held, f"fit raised peak RSS by {rise / n:.1f} B/pt"
+    # Random codes repair no cluster. Codes of two values per byte have 16
+    # distinct rows, so the 32 initial centers repeat and the farthest-point
+    # repair runs in every iteration.
+    for values, repairs in ((256, False), (2, True)):
+        proc = subprocess.run(
+            [sys.executable, "-c", _WORKING_SET_PROBE, str(values)],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        repaired, rise = map(int, proc.stdout.split()[-2:])
+        assert (repaired > 0) == repairs, repaired
+        # An N-sized float64 temporary (8 B/pt) more than the figure's
+        # 12 B/pt above the codes exceeds this factor.
+        assert rise <= 1.25 * held, f"fit raised peak RSS by {rise / n:.1f} B/pt ({values=})"

@@ -1,0 +1,103 @@
+"""Unit tests for the Lloyd driver's exact streamed mean and its
+farthest-point repair selection."""
+
+import numpy as np
+import pytest
+
+from pqclust.lloyd import _CHUNK_ROWS, _farthest, _mean_of, _pairwise_sum
+
+# Sizes around numpy's own 8-wide and 128-long blocks, around one leaf, and
+# two leaves whose split lands on a multiple of 8.
+_BOUNDARY_SIZES = [
+    1, 7, 8, 9, 128, 129, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 8,
+]
+
+
+def _spread(rng, n):
+    """Positive values from 1e-12 to 1e12: their float64 sum depends on the
+    order in which they are added."""
+    return 10.0 ** rng.uniform(-12, 12, size=n)
+
+
+def _leaves(n):
+    leaves = []
+    _pairwise_sum(n, lambda a, b: leaves.append((a, b)) or 0.0)
+    return leaves
+
+
+class TestPairwiseSum:
+    # The helper copies numpy's internal pairwise split, which no API
+    # documents: if a numpy changes it, these equalities fail.
+    @pytest.mark.parametrize("n", _BOUNDARY_SIZES)
+    def test_mean_of_is_numpys_mean_at_block_and_leaf_boundaries(self, n):
+        x = _spread(np.random.default_rng(n), n)
+        assert _mean_of(np.sqrt, x) == float(np.mean(np.sqrt(x)))
+        assert _mean_of(np.square, x) == float(np.mean(np.square(x)))
+
+    def test_mean_of_is_numpys_mean_on_random_sizes(self):
+        rng = np.random.default_rng(40)
+        for n in rng.integers(1, 3_000_000, size=12):
+            x = _spread(rng, int(n))
+            assert _mean_of(np.sqrt, x) == float(np.mean(np.sqrt(x))), n
+            assert _mean_of(np.square, x) == float(np.mean(np.square(x))), n
+
+    @pytest.mark.parametrize("n", [0, 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 5 * _CHUNK_ROWS + 13])
+    def test_leaves_tile_the_rows_in_order(self, n):
+        leaves = _leaves(n)
+        assert leaves[0][0] == 0 and leaves[-1][1] == n
+        assert all(b == c for (_, b), (c, _) in zip(leaves, leaves[1:]))
+        assert all(b - a <= _CHUNK_ROWS for a, b in leaves)
+
+    def test_a_sequential_fold_of_the_leaves_differs(self):
+        # The same leaf sums added left to right instead of as a tree: the
+        # data are spread enough that the order shows in the last bits.
+        n = 9 * _CHUNK_ROWS + 5
+        x = _spread(np.random.default_rng(41), n)
+        sequential = 0.0
+        for a, b in _leaves(n):
+            sequential += np.add.reduce(np.sqrt(x[a:b]))
+        assert float(sequential / n) != float(np.mean(np.sqrt(x)))
+        assert _mean_of(np.sqrt, x) == float(np.mean(np.sqrt(x)))
+
+
+def _argmax_loop(dists, e):
+    """The repair's reference: e rounds of argmax, each pick set to -inf."""
+    own = dists.copy()
+    picks = []
+    for _ in range(e):
+        far = int(np.argmax(own))
+        picks.append(far)
+        own[far] = -np.inf
+    return picks
+
+
+class TestFarthest:
+    @pytest.mark.parametrize(
+        "n", [1, 5, _CHUNK_ROWS - 3, _CHUNK_ROWS + 3, 3 * _CHUNK_ROWS + 11, 1_000_003]
+    )
+    def test_matches_the_argmax_loop_with_ties(self, n):
+        # Integer values from a few levels: every selection cuts through a
+        # run of ties, which the loop breaks toward the lowest index.
+        rng = np.random.default_rng(n)
+        dists = rng.integers(0, 6, size=n).astype(np.float64)
+        # The largest value on both sides of every chunk boundary, so the
+        # lowest index of a tie must win across chunks.
+        for edge in range(_CHUNK_ROWS, n, _CHUNK_ROWS):
+            dists[edge - 2 : edge + 2] = 9.0
+        for e in (1, 2, 3, 40, 300):
+            e = min(e, n)
+            assert _farthest(dists, e).tolist() == _argmax_loop(dists, e), e
+
+    def test_matches_the_argmax_loop_on_distinct_values(self):
+        rng = np.random.default_rng(42)
+        for n in rng.integers(1, 3 * _CHUNK_ROWS, size=20):
+            dists = rng.random(int(n))
+            e = int(rng.integers(1, min(n, 64) + 1))
+            assert _farthest(dists, e).tolist() == _argmax_loop(dists, e), (n, e)
+
+    def test_later_rows_equal_to_the_least_held_lose(self):
+        # Chunk 0 fills the e picks with 1.0; every later 1.0 ties them and
+        # loses on its index, and one later 2.0 displaces the last pick.
+        dists = np.ones(2 * _CHUNK_ROWS + 7)
+        dists[_CHUNK_ROWS + 5] = 2.0
+        assert _farthest(dists, 3).tolist() == [_CHUNK_ROWS + 5, 0, 1]
