@@ -21,10 +21,9 @@ from functools import partial
 
 import numpy as np
 
-from .clustering import _histogram_product, _member_histograms, _table_assign, init_centers
+from .clustering import _first_centers, _histogram_product, _member_histograms, _table_assign
 from .lloyd import _BLOCK_ELEMENTS, _CHUNK_ROWS, ClusteringResult, _assigned_sq_distances
-from .lloyd import _chunked_means, _kmeans_assign, _lloyd, _mean_of, _means_update_all
-from .lloyd import _pairwise_sum, _squared_objectives
+from .lloyd import _chunked_means, _kmeans, _lloyd, _mean_of, _pairwise_sum
 from .pq import DistanceTables, _check_finite, _validate_codes
 
 _POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
@@ -78,28 +77,13 @@ def kmeans_fit(
     points = np.asarray(vectors, dtype=np.float32)
     if points.ndim != 2:
         raise ValueError(f"vectors must be 2-d, got shape {points.shape}")
-    n = len(points)
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
-    if max_iterations < 1:
-        raise ValueError(f"max_iterations must be positive, got {max_iterations}")
+    centers = _first_centers(points, k, max_iterations, seed, initial_centers)
+    centers = np.asarray(centers, dtype=np.float64)
     _check_finite(points, "vectors")
-    if initial_centers is None:
-        centers = init_centers(points, k, seed).astype(np.float64)
-    else:
-        centers = np.asarray(initial_centers, dtype=np.float64).copy()
-        if centers.shape != (k, points.shape[1]):
-            raise ValueError(
-                f"initial_centers must have shape ({k}, {points.shape[1]}), "
-                f"got {centers.shape}"
-            )
-        if not np.isfinite(centers).all():
-            raise ValueError("initial_centers must be finite, got NaN or infinity")
+    if not np.isfinite(centers).all():
+        raise ValueError("initial_centers must be finite, got NaN or infinity")
     # float32 points enter every float64 operation exactly: no float64 copy.
-    return _lloyd(
-        points, centers, max_iterations, threads, partial(_kmeans_assign, points),
-        _means_update_all, _squared_objectives,
-    )
+    return _kmeans(points, centers, max_iterations, threads)
 
 
 @dataclass(frozen=True)
@@ -158,7 +142,7 @@ def binarize(binarizer: Binarizer, vectors: np.ndarray) -> np.ndarray:
 
     Args:
         binarizer: Trained binarizer.
-        vectors: One vector (D,) or a batch (N, D).
+        vectors: One vector (D,) or a batch (N, D), finite.
 
     Returns:
         Packed uint8 codes of shape (B/8,) or (N, B/8). Bit b lives in
@@ -172,10 +156,11 @@ def binarize(binarizer: Binarizer, vectors: np.ndarray) -> np.ndarray:
             f"vectors have dimension {arr.shape[1]}, binarizer expects {binarizer.dim}"
         )
     packed = np.empty((len(arr), binarizer.bits // 8), dtype=np.uint8)
-    # One block of rows at a time is cast to float32, then float64, and
-    # projected: no N-sized float64 array.
+    # One block of rows at a time is cast to float32, checked, cast to
+    # float64 and projected: no N-sized float64 array.
     for a in range(0, len(arr), _BINARIZE_ROWS):
         block = np.asarray(arr[a : a + _BINARIZE_ROWS], dtype=np.float32)
+        _check_finite(block, "vectors", a)
         projection = block.astype(np.float64) @ binarizer.rotation
         packed[a : a + _BINARIZE_ROWS] = np.packbits(projection >= 0, axis=1)
     return packed[0] if single else packed
@@ -273,21 +258,10 @@ def bkmeans_fit(
     packed = np.asarray(codes)
     if packed.ndim != 2 or packed.shape[1] == 0:
         raise ValueError(f"codes must have shape (N, B/8), got {packed.shape}")
-    n, width = packed.shape
+    width = packed.shape[1]
     packed = _validate_codes(packed, width, 256).astype(np.uint8, copy=False)
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
-    if max_iterations < 1:
-        raise ValueError(f"max_iterations must be positive, got {max_iterations}")
-    if initial_centers is None:
-        centers = init_centers(packed, k, seed)
-    else:
-        centers = np.asarray(initial_centers)
-        if centers.shape != (k, width):
-            raise ValueError(
-                f"initial_centers must have shape ({k}, {width}), got {centers.shape}"
-            )
-        centers = _validate_codes(centers, width, 256).astype(np.uint8)
+    centers = _first_centers(packed, k, max_iterations, seed, initial_centers)
+    centers = _validate_codes(centers, width, 256).astype(np.uint8, copy=False)
     # Every byte subspace has the table T[a, b] = popcount(a ^ b). Sums of
     # these small integers are exact in float64, so the scan's distances and
     # ties are hamming_to_centers'.

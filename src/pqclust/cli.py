@@ -1,7 +1,7 @@
 """Batch command line front end.
 
 Subcommands: synth, train-codebook, encode, cluster, eval, bench.
-Every command takes a single --seed; stage seeds (data generation,
+Every command but eval takes a single --seed; stage seeds (data generation,
 codebook init, binarizer, clustering init) are derived from it through
 fixed SeedSequence keys, so one seed pins the whole pipeline. Exit
 status is 0 only when all outputs were written and validated; every
@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import functools
 import json
 import os
 import platform
@@ -27,6 +26,7 @@ import scipy
 
 from . import baselines, clustering, io, pq
 
+_METHODS = ("pqkmeans", "kmeans", "bkmeans")
 _STAGE_IDS = {"synth": 0, "codebook": 1, "encode": 2, "binarize": 3, "cluster": 4}
 # Records of raw vectors that encode and eval hold at a time.
 _VECTOR_CHUNK = 16384
@@ -113,6 +113,7 @@ def cmd_train_codebook(args: argparse.Namespace) -> int:
     train = io.read_fvecs(args.train)
     if train.size == 0:
         raise ValueError(f"{args.train}: training file holds no vectors")
+    pq._check_finite(train, f"{args.train}: vectors")
     codebook = pq.train_codebook(
         train,
         args.m,
@@ -135,6 +136,14 @@ def cmd_train_codebook(args: argparse.Namespace) -> int:
     return 0
 
 
+def _finite_chunks(path):
+    """Stream the fvecs file at path _VECTOR_CHUNK records at a time,
+    naming the first record that holds NaN or infinity."""
+    for i, chunk in enumerate(io.iter_fvecs(path, _VECTOR_CHUNK)):
+        pq._check_finite(chunk, f"{path}: vectors", i * _VECTOR_CHUNK)
+        yield chunk
+
+
 def cmd_encode(args: argparse.Namespace) -> int:
     _check_common(args)
     codebook = io.read_codebook(args.codebook)
@@ -148,46 +157,35 @@ def cmd_encode(args: argparse.Namespace) -> int:
     with io.CodesWriter(
         args.out, n, codebook.num_subspaces, codebook.num_codewords
     ) as writer:
-        for i, chunk in enumerate(io.iter_fvecs(args.data, _VECTOR_CHUNK)):
-            pq._check_finite(chunk, f"{args.data}: vectors", i * _VECTOR_CHUNK)
+        for chunk in _finite_chunks(args.data):
             writer.write(pq.encode(codebook, chunk, threads=args.threads))
     print(f"encoded {n} vectors into {args.out}")
     return 0
 
 
-def _loader(method):
-    """A cached property of _Inputs that adds the seconds of its one run to
-    load_seconds."""
+def _load_inputs(args: argparse.Namespace, methods: list[str], keep_vectors: bool = False):
+    """Read the inputs of a cluster or bench run, each once.
 
-    @functools.wraps(method)
-    def load(self):
-        start = time.perf_counter()
-        try:
-            return method(self)
-        finally:
-            self.load_seconds += time.perf_counter() - start
-
-    return functools.cached_property(load)
-
-
-class _Inputs:
-    """The input files of one cluster or bench run, each read at most once.
-
-    load_seconds sums the time spent reading and preparing them.
+    Checks that every method is known and has its inputs before reading
+    anything. Returns ({name: input}, the seconds spent reading and
+    preparing them): "codes" holds (codes, L, distance tables) of --codes
+    and --codebook, "vectors" the finite --data vectors that kmeans fits
+    or keep_vectors asks for, and "packed" the binary codes of bkmeans,
+    read from --binary-codes or binarized from --data.
     """
-
-    def __init__(self, args: argparse.Namespace) -> None:
-        self._args = args
-        self.load_seconds = 0.0
-
-    @_loader
-    def vectors(self) -> np.ndarray:
-        return io.read_fvecs(self._args.data)
-
-    @_loader
-    def codes(self) -> tuple[np.ndarray, int, pq.DistanceTables]:
-        """(codes, L, distance tables) of --codes and --codebook."""
-        args = self._args
+    for method in methods:
+        if method not in _METHODS:
+            raise ValueError(f"unknown method {method!r}")
+    if "pqkmeans" in methods and not (args.codes and args.codebook):
+        raise ValueError("method pqkmeans needs --codes and --codebook")
+    if "kmeans" in methods and not args.data:
+        raise ValueError("method kmeans needs --data")
+    binarized = "bkmeans" in methods and not args.binary_codes
+    if binarized and not (args.data and args.bits):
+        raise ValueError("method bkmeans needs --binary-codes, or --data with --bits")
+    start = time.perf_counter()
+    inputs = {}
+    if "pqkmeans" in methods:
         codes, m, l_count = io.read_codes(args.codes)
         codebook = io.read_codebook(args.codebook)
         if codebook.num_subspaces != m or codebook.num_codewords != l_count:
@@ -196,35 +194,30 @@ class _Inputs:
                 f"L={codebook.num_codewords}) does not match {args.codes} "
                 f"(M={m}, L={l_count})"
             )
-        return codes, l_count, pq.build_distance_tables(codebook)
-
-    @_loader
-    def packed(self) -> np.ndarray:
-        """Packed binary codes, read from --binary-codes or binarized from --data."""
-        args = self._args
-        if args.binary_codes:
-            return io.read_binary_codes(args.binary_codes)[0]
-        if not args.data or not args.bits:
-            raise ValueError(
-                "method bkmeans needs --binary-codes, or --data with --bits"
-            )
+        inputs["codes"] = codes, l_count, pq.build_distance_tables(codebook)
+    keep_vectors = keep_vectors or "kmeans" in methods
+    if keep_vectors or binarized:
+        vectors = io.read_fvecs(args.data)
+        pq._check_finite(vectors, f"{args.data}: vectors")
         # Vectors read only to be binarized are not kept for the fit.
-        vectors = self.__dict__.get("vectors")
-        if vectors is None:
-            vectors = io.read_fvecs(args.data)
+        if keep_vectors:
+            inputs["vectors"] = vectors
+    if binarized:
         binarizer = baselines.train_binarizer(
             vectors.shape[1], args.bits, derive_seed(args.seed, "binarize")
         )
-        packed = baselines.binarize(binarizer, vectors)
+        inputs["packed"] = baselines.binarize(binarizer, vectors)
         if args.binary_codes_out:
             with io.staged(args.binary_codes_out) as (temp,):
-                io.write_binary_codes(temp, packed)
+                io.write_binary_codes(temp, inputs["packed"])
             print(f"wrote binary codes to {args.binary_codes_out}")
-        return packed
+    elif "bkmeans" in methods:
+        inputs["packed"] = io.read_binary_codes(args.binary_codes)[0]
+    return inputs, time.perf_counter() - start
 
 
-def _run_method(args: argparse.Namespace, inputs: _Inputs, method: str, k: int):
-    """Run one clustering method on the run's inputs.
+def _run_method(args: argparse.Namespace, inputs: dict, method: str, k: int):
+    """Run one clustering method on the inputs that _load_inputs read.
 
     Returns (result, row dict for bench, centers file name, centers writer):
     the writer takes the path to write the result's centers to.
@@ -236,9 +229,7 @@ def _run_method(args: argparse.Namespace, inputs: _Inputs, method: str, k: int):
     }
     row: dict[str, object] = {"method": method, "k": k, "threads": args.threads, "seed": args.seed}
     if method == "pqkmeans":
-        if not args.codes or not args.codebook:
-            raise ValueError("method pqkmeans needs --codes and --codebook")
-        codes, l_count, tables = inputs.codes
+        codes, l_count, tables = inputs["codes"]
         m = codes.shape[1]
         result = clustering.fit(codes, tables, k, **fit_args)
         nnz = [
@@ -262,28 +253,24 @@ def _run_method(args: argparse.Namespace, inputs: _Inputs, method: str, k: int):
             path, result.centers, l_count
         )
     if method == "kmeans":
-        if not args.data:
-            raise ValueError("method kmeans needs --data")
-        vectors = inputs.vectors
+        vectors = inputs["vectors"]
         result = baselines.kmeans_fit(vectors, k, **fit_args)
         dim = vectors.shape[1]
         row.update(n=len(vectors), memory_bytes=4.0 * dim * (len(vectors) + k) + 4.0 * len(vectors))
         return result, row, "centers.fvecs", lambda path: io.write_fvecs(
             path, result.centers.astype(np.float32)
         )
-    if method == "bkmeans":
-        packed = inputs.packed
-        result = baselines.bkmeans_fit(packed, k, **fit_args)
-        bits = 8 * packed.shape[1]
-        row.update(
-            n=len(packed),
-            bits=bits,
-            memory_bytes=(bits / 8.0) * (len(packed) + k) + 4.0 * len(packed),
-        )
-        return result, row, "centers.pqkb", lambda path: io.write_binary_codes(
-            path, result.centers
-        )
-    raise ValueError(f"unknown method {method!r}")
+    packed = inputs["packed"]
+    result = baselines.bkmeans_fit(packed, k, **fit_args)
+    bits = 8 * packed.shape[1]
+    row.update(
+        n=len(packed),
+        bits=bits,
+        memory_bytes=(bits / 8.0) * (len(packed) + k) + 4.0 * len(packed),
+    )
+    return result, row, "centers.pqkb", lambda path: io.write_binary_codes(
+        path, result.centers
+    )
 
 
 def _write_trace_csv(path, trace) -> None:
@@ -315,10 +302,10 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         raise ValueError(f"--max-iterations must be positive, got {args.max_iterations}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    inputs = _Inputs(args)
+    inputs, load_seconds = _load_inputs(args, [args.method])
     start = time.perf_counter()
     result, row, centers_name, write_centers = _run_method(args, inputs, args.method, args.k)
-    fit_seconds = time.perf_counter() - start - inputs.load_seconds
+    fit_seconds = time.perf_counter() - start
 
     labels_path = out_dir / "labels.bin"
     centers_path = out_dir / centers_name
@@ -369,7 +356,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         _write_trace_csv(trace_temp, result.trace)
         # The record of the whole command, up to the write of result.json.
         document["stage_seconds"] = {
-            "load": inputs.load_seconds,
+            "load": load_seconds,
             "fit": fit_seconds,
             "write": time.perf_counter() - start,
         }
@@ -393,10 +380,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ValueError(
             f"{args.labels} holds {len(labels)} labels but {args.data} holds {n} vectors"
         )
+    # The error reads the file twice; the first pass checks the records.
+    passes = iter([_finite_chunks(args.data), io.iter_fvecs(args.data, _VECTOR_CHUNK)])
     report: dict[str, object] = {
         "n": n,
         "original_space_error": baselines.streamed_original_space_error(
-            lambda: io.iter_fvecs(args.data, _VECTOR_CHUNK), labels, dim, str(args.labels)
+            lambda: next(passes), labels, dim, str(args.labels)
         ),
     }
     if args.reference:
@@ -429,8 +418,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise ValueError("--methods and --k-grid must be non-empty")
     if any(k < 1 for k in k_grid):
         raise ValueError(f"--k-grid entries must be positive, got {k_grid}")
-    inputs = _Inputs(args)
-    eval_vectors = inputs.vectors if args.data else None
+    inputs, _ = _load_inputs(args, methods, keep_vectors=bool(args.data))
+    eval_vectors = inputs.get("vectors")
     rows = []
     for method in methods:
         for k in k_grid:
@@ -491,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("cluster", help="run a clustering method")
-    p.add_argument("--method", required=True, choices=["pqkmeans", "kmeans", "bkmeans"])
+    p.add_argument("--method", required=True, choices=_METHODS)
     p.add_argument("--k", type=int, required=True, help="number of clusters")
     _add_method_inputs(p)
     p.add_argument("--out-dir", required=True, help="output directory")

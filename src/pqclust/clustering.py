@@ -150,6 +150,24 @@ def init_centers(codes: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
     return codes[rng.choice(len(codes), size=k, replace=False)].copy()
 
 
+def _first_centers(points, k, max_iterations, seed, initial_centers) -> np.ndarray:
+    """The set-up every Lloyd fit shares on its (N, width) points: checks
+    1 <= k <= N and max_iterations >= 1, and returns init_centers' seeded
+    sample, or initial_centers once its shape is (K, width). The caller
+    converts and checks the centers' values."""
+    n, width = points.shape
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in [1, {n}], got {k}")
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations must be positive, got {max_iterations}")
+    if initial_centers is None:
+        return init_centers(points, k, seed)
+    centers = np.asarray(initial_centers)
+    if centers.shape != (k, width):
+        raise ValueError(f"initial_centers has shape {centers.shape}, expected ({k}, {width})")
+    return centers
+
+
 def _center_columns(tables: DistanceTables, centers: np.ndarray) -> list[np.ndarray]:
     """(L, C) table slice per subspace; a scan then only gathers rows."""
     return [
@@ -426,22 +444,10 @@ def fit(
         ClusteringResult with uint8 centers of shape (K, M).
     """
     codes = _validate_codes(codes, tables.num_subspaces, tables.num_codewords)
-    if not 1 <= k <= len(codes):
-        raise ValueError(f"k must be in [1, {len(codes)}], got {k}")
-    if max_iterations < 1:
-        raise ValueError(f"max_iterations must be positive, got {max_iterations}")
     if update not in ("sparse", "naive"):
         raise ValueError(f"update must be 'sparse' or 'naive', got {update!r}")
-    if initial_centers is None:
-        centers = init_centers(codes, k, seed)
-    else:
-        centers = _validate_codes(
-            initial_centers, tables.num_subspaces, tables.num_codewords
-        ).astype(np.uint8)
-        if len(centers) != k:
-            raise ValueError(
-                f"initial_centers has {len(centers)} rows, expected k={k}"
-            )
+    centers = _first_centers(codes, k, max_iterations, seed, initial_centers)
+    centers = _validate_codes(centers, tables.num_subspaces, tables.num_codewords)
     update_all = _sparse_update_all if update == "sparse" else _naive_update_all
     return _lloyd(
         codes, centers, max_iterations, threads, partial(_table_assign, codes, tables),

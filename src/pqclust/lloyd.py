@@ -99,8 +99,11 @@ def _range_runner(threads: int, n: int, width: int):
     columns (centers, or the dimensions of a row), allocated once here
     rather than per scan. run returns the tasks' results in range order.
     A row's label depends on that row alone, so any split gives the same
-    labels.
+    labels. Every threaded function of the package enters here, so this
+    is where a threads value below 1 is rejected.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be positive, got {threads}")
     parts = max(1, min(threads, n))
     edges = [n * t // parts for t in range(parts + 1)]
     # A table scan over w columns uses max(1, _BLOCK_ELEMENTS // w) * w
@@ -390,12 +393,18 @@ def _nearest_center_range(points, centers, labels, dists, start, stop, scratch) 
     return changes
 
 
-def _kmeans_assign(points, centers, moved, labels, dists, run) -> tuple[int, int]:
-    """Assignment step of _lloyd on raw vectors: every point against every
-    center."""
-    changes = sum(run(partial(_nearest_center_range, points, centers, labels, dists)))
-    return (len(points) if moved is None else changes), len(points)
+def _kmeans(points, centers, max_iterations, threads) -> ClusteringResult:
+    """Euclidean k-means by _lloyd on float32 points from float64 centers:
+    every point is scanned against every center, and the update takes the
+    cluster means."""
 
+    def assign_step(centers, moved, labels, dists, run):
+        changes = sum(run(partial(_nearest_center_range, points, centers, labels, dists)))
+        return (len(points) if moved is None else changes), len(points)
 
-def _means_update_all(points, labels, counts):
-    return cluster_means(points, labels, len(counts)), math.nan
+    def update_all(points, labels, counts):
+        return cluster_means(points, labels, len(counts)), math.nan
+
+    return _lloyd(
+        points, centers, max_iterations, threads, assign_step, update_all, _squared_objectives
+    )

@@ -16,8 +16,7 @@ from functools import partial
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .lloyd import _kmeans_assign, _lloyd, _means_update_all, _nearest_center_range
-from .lloyd import _range_runner, _squared_objectives
+from .lloyd import _kmeans, _nearest_center_range, _range_runner
 
 MAX_CODEWORDS = 256
 
@@ -183,10 +182,7 @@ def train_codebook(
         # float32 sub-vectors enter every float64 operation exactly.
         sub = vectors[:, m * sub_dim : (m + 1) * sub_dim]
         centers = sub[rng.choice(n, size=num_codewords, replace=False)].astype(np.float64)
-        books[m] = _lloyd(
-            sub, centers, iterations, threads, partial(_kmeans_assign, sub),
-            _means_update_all, _squared_objectives,
-        ).centers
+        books[m] = _kmeans(sub, centers, iterations, threads).centers
     return PQCodebook(books)
 
 

@@ -391,6 +391,19 @@ class TestBinarizer:
             train_binarizer(8, 16)
         with pytest.raises(ValueError, match="orthonormal"):
             Binarizer(np.ones((4, 2)))
+        # NaN and infinity used to become 0 bits without a word. The first
+        # bad row is named, counted across projection blocks.
+        bz = train_binarizer(8, 8, seed=1)
+        vectors = np.ones((2 * _BINARIZE_ROWS + 37, 8), dtype=np.float32)
+        vectors[_BINARIZE_ROWS + 5, 3] = np.nan
+        vectors[2 * _BINARIZE_ROWS + 1, 0] = np.inf
+        with pytest.raises(ValueError, match=f"vectors must be finite, row {_BINARIZE_ROWS + 5} "):
+            binarize(bz, vectors)
+        vectors[_BINARIZE_ROWS + 5, 3] = 1
+        with pytest.raises(ValueError, match=f"row {2 * _BINARIZE_ROWS + 1} "):
+            binarize(bz, vectors)
+        with pytest.raises(ValueError, match="vectors must be finite, row 0 "):
+            binarize(bz, np.full(8, -np.inf))
 
     def test_projection_oracle(self):
         bz = train_binarizer(16, 8, seed=6)

@@ -18,7 +18,27 @@ import numpy as np
 import pytest
 import scipy
 
-from pqclust import baselines, cli, io
+from pqclust import baselines, cli, clustering, io
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of the CLI's calls to the functions that read or prepare its
+    inputs, and to the three fits, from the time the fixture is set up."""
+    counts = {}
+    for owner, name in (
+        (io, "read_fvecs"), (io, "read_codes"), (io, "read_binary_codes"),
+        (baselines, "binarize"), (clustering, "fit"),
+        (baselines, "kmeans_fit"), (baselines, "bkmeans_fit"),
+    ):
+        counts[name] = 0
+
+        def counted(*args, _name=name, _original=getattr(owner, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return counts
 
 
 @pytest.fixture(scope="module")
@@ -312,6 +332,33 @@ class TestBaselineMethods:
         assert (direct / "labels.bin").read_bytes() == (reread / "labels.bin").read_bytes()
 
 
+class TestInputs:
+    @pytest.mark.parametrize(
+        "method, flags, expected",
+        [
+            ("pqkmeans", ["--codes", "codes", "--codebook", "book", "--data", "data"],
+             {"read_codes": 1, "fit": 1}),
+            ("kmeans", ["--data", "data", "--codes", "codes"],
+             {"read_fvecs": 1, "kmeans_fit": 1}),
+            ("bkmeans", ["--data", "data", "--bits", "8"],
+             {"read_fvecs": 1, "binarize": 1, "bkmeans_fit": 1}),
+            ("bkmeans", ["--binary-codes", "packed", "--data", "data", "--bits", "8"],
+             {"read_binary_codes": 1, "bkmeans_fit": 1}),
+        ],
+    )
+    def test_cluster_reads_each_input_once_and_no_other(
+        self, pipeline, tmp_path, method, flags, expected, calls
+    ):
+        paths = dict(pipeline, packed=tmp_path / "codes.pqkb")
+        io.write_binary_codes(paths["packed"], np.zeros((2000, 1), dtype=np.uint8))
+        assert cli.main([
+            "cluster", "--method", method, "--k", "4", "--max-iterations", "2",
+            *[str(paths.get(flag, flag)) for flag in flags],
+            "--out-dir", str(tmp_path / "run"),
+        ]) == 0
+        assert {name: n for name, n in calls.items() if n} == expected
+
+
 class TestEval:
     def test_matches_library_metrics(self, pipeline, tmp_path, capsys):
         out = tmp_path / "run"
@@ -478,28 +525,17 @@ class TestBench:
                 assert row[column] == "", (row["method"], column)
         assert [r["bits"] for r in rows[2:]] == ["", "", "8", "8"]
 
-    def test_reads_and_binarizes_each_input_once(self, pipeline, tmp_path, monkeypatch):
-        calls = {"read_fvecs": 0, "read_codes": 0, "binarize": 0}
-
-        def counted(owner, name):
-            original = getattr(owner, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(owner, name, wrapper)
-
-        counted(io, "read_fvecs")
-        counted(io, "read_codes")
-        counted(baselines, "binarize")
+    def test_reads_and_binarizes_each_input_once(self, pipeline, tmp_path, calls):
         assert cli.main([
             "bench", "--methods", "pqkmeans,kmeans,bkmeans", "--k-grid", "5,10,20",
             "--codes", str(pipeline["codes"]), "--codebook", str(pipeline["book"]),
             "--data", str(pipeline["data"]), "--bits", "8", "--max-iterations", "3",
             "--out", str(tmp_path / "bench.csv"), "--seed", "2",
         ]) == 0
-        assert calls == {"read_fvecs": 1, "read_codes": 1, "binarize": 1}
+        assert calls == {
+            "read_fvecs": 1, "read_codes": 1, "read_binary_codes": 0, "binarize": 1,
+            "fit": 3, "kmeans_fit": 3, "bkmeans_fit": 3,
+        }
 
     def test_rejects_unknown_method(self, pipeline, capsys):
         code = cli.main([
@@ -509,6 +545,17 @@ class TestBench:
         ])
         assert code == 1
         assert "unknown method" in capsys.readouterr().err
+
+    def test_unknown_method_fails_before_any_read_or_fit(self, pipeline, capsys, calls):
+        # The pqkmeans fits used to run before the unknown method was found.
+        code = cli.main([
+            "bench", "--methods", "pqkmeans,zkmeans", "--k-grid", "2,3",
+            "--codes", str(pipeline["codes"]), "--codebook", str(pipeline["book"]),
+            "--data", str(pipeline["data"]),
+        ])
+        assert code == 1
+        assert "unknown method 'zkmeans'" in capsys.readouterr().err
+        assert set(calls.values()) == {0}
 
 
 class TestDiagnostics:
@@ -623,6 +670,32 @@ class TestDiagnostics:
         assert f"{data}: vectors must be finite, row 70000 holds NaN" in err
         assert out.read_bytes() == pipeline["codes"].read_bytes()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["codes.pqkc", "nan.fvecs"]
+
+        # Every other command that reads the vectors names the file and the
+        # record, and writes nothing. eval and bench used to report a NaN
+        # error, and cluster --method bkmeans to binarize NaN into 0 bits.
+        labels = tmp_path / "labels.bin"
+        io.write_labels(labels, np.zeros(len(vectors), dtype=np.uint32))
+        for argv in (
+            ["train-codebook", "--train", str(data), "--out", str(tmp_path / "book.pqcb"),
+             "--m", "2", "--l", "4"],
+            ["cluster", "--method", "kmeans", "--k", "2", "--data", str(data),
+             "--out-dir", str(tmp_path / "km")],
+            ["cluster", "--method", "bkmeans", "--k", "2", "--data", str(data), "--bits", "8",
+             "--out-dir", str(tmp_path / "bk")],
+            ["bench", "--k-grid", "2", "--codes", str(pipeline["codes"]),
+             "--codebook", str(pipeline["book"]), "--data", str(data),
+             "--out", str(tmp_path / "bench.csv")],
+            ["eval", "--data", str(data), "--labels", str(labels),
+             "--out", str(tmp_path / "eval.json")],
+        ):
+            assert cli.main(argv) == 1, argv
+            assert f"{data}: vectors must be finite, row 70000 holds NaN" in capsys.readouterr().err
+        # cluster makes its output directory before it reads.
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "bk", "codes.pqkc", "km", "labels.bin", "nan.fvecs",
+        ]
+        assert not [*(tmp_path / "km").iterdir(), *(tmp_path / "bk").iterdir()]
 
     def test_negative_seed_rejected(self, pipeline, capsys):
         code = cli.main([

@@ -1,10 +1,12 @@
-"""Unit tests for the Lloyd driver's exact streamed mean and its
-farthest-point repair selection."""
+"""Unit tests for the exact streamed mean of the Lloyd loop, its
+farthest-point repair selection and its thread count check."""
 
 import numpy as np
 import pytest
 
+from pqclust import assign, bkmeans_fit, encode, fit, kmeans_fit, train_codebook
 from pqclust.lloyd import _CHUNK_ROWS, _farthest, _mean_of, _pairwise_sum
+from pqclust.pq import DistanceTables, PQCodebook
 
 # Sizes around numpy's own 8-wide and 128-long blocks, around one leaf, and
 # two leaves whose split lands on a multiple of 8.
@@ -101,3 +103,28 @@ class TestFarthest:
         dists = np.ones(2 * _CHUNK_ROWS + 7)
         dists[_CHUNK_ROWS + 5] = 2.0
         assert _farthest(dists, 3).tolist() == [_CHUNK_ROWS + 5, 0, 1]
+
+
+_VECTORS = np.random.default_rng(50).normal(size=(40, 4)).astype(np.float32)
+_CODES = np.random.default_rng(51).integers(0, 4, size=(40, 2), dtype=np.uint8)
+_BOOK = PQCodebook(np.random.default_rng(52).normal(size=(2, 4, 2)))
+_TABLES = DistanceTables(np.broadcast_to(4.0 * (1 - np.eye(4)), (2, 4, 4)))
+
+# Every threaded function of the package, called with the given threads.
+_THREADED = {
+    "fit": lambda t: fit(_CODES, _TABLES, 3, threads=t),
+    "kmeans_fit": lambda t: kmeans_fit(_VECTORS, 3, threads=t),
+    "bkmeans_fit": lambda t: bkmeans_fit(_CODES, 3, threads=t),
+    "train_codebook": lambda t: train_codebook(_VECTORS, 2, 4, threads=t),
+    "encode": lambda t: encode(_BOOK, _VECTORS, threads=t),
+    "assign": lambda t: assign(_CODES, _CODES[:3], _TABLES, threads=t),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_THREADED))
+def test_threads_below_one_are_rejected(name):
+    # These used to run on one thread without a word.
+    _THREADED[name](1)
+    for threads in (0, -3):
+        with pytest.raises(ValueError, match=f"threads must be positive, got {threads}"):
+            _THREADED[name](threads)
