@@ -21,9 +21,9 @@ from functools import partial
 
 import numpy as np
 
-from .clustering import _first_centers, _histogram_product, _member_histograms, _table_assign
+from .clustering import _first_centers, _histogram_product, _table_assign
 from .lloyd import _BLOCK_ELEMENTS, _CHUNK_ROWS, ClusteringResult, _assigned_sq_distances
-from .lloyd import _chunked_means, _kmeans, _lloyd, _mean_of, _pairwise_sum
+from .lloyd import _chunked_means, _joint_counts, _kmeans, _lloyd, _mean_of, _pairwise_sum
 from .pq import DistanceTables, _check_finite, _validate_codes
 
 _POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
@@ -201,21 +201,22 @@ def hamming_to_centers(codes: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return _POPCOUNT[xor].sum(axis=2, dtype=np.int64)
 
 
-def _majority_update_all(codes, labels, counts):
-    """Per-bit majority centers of every cluster, as majority_center gives.
+def _majority_update_all(codes, labels, k):
+    """Per-bit majority centers of every cluster, as majority_center gives,
+    and each cluster's member count.
 
-    Each byte column's (K, 256) member histogram times the byte-to-bits
-    matrix gives each cluster's count of set bits. Empty clusters get
+    Each byte column's (K, 256) member histogram, one held at a time,
+    times the byte-to-bits matrix gives each cluster's count of set
+    bits; a histogram's row sums are the member counts. Empty clusters get
     zero codes, for the caller to repair.
     """
-    ones = np.concatenate(
-        [
-            _histogram_product(hist, _BYTE_BITS)
-            for hist in _member_histograms(codes, labels, len(counts), 256)
-        ],
-        axis=1,
-    )
-    return np.packbits(2 * ones > counts[:, None], axis=1), np.nan
+    ones = []
+    for column in codes.T:
+        hist = _joint_counts(labels, column, (k, 256))
+        ones.append(_histogram_product(hist, _BYTE_BITS))
+        counts = hist.sum(axis=1)
+        del hist  # freed before the next byte's histogram is built
+    return np.packbits(2 * np.concatenate(ones, axis=1) > counts[:, None], axis=1), counts, None
 
 
 def _bkmeans_objectives(dists: np.ndarray) -> tuple[float, float]:
@@ -335,14 +336,12 @@ def streamed_original_space_error(
     top = int(labels.max())
     if top >= n:
         raise ValueError(f"{labels_name}: label {top} is out of range for {n} points")
-    means = _chunked_means(
-        ((chunk, own) for _, chunk, own in _labeled_chunks(read_chunks(), labels)), top + 1, dim
-    )
+    means = _chunked_means(_labeled_chunks(read_chunks(), labels), top + 1, dim)[0]
     scratch = np.empty(max(_BLOCK_ELEMENTS, dim))
     block = max(1, len(scratch) // max(1, dim))
     pieces = (
         (chunk[a : a + block], own[a : a + block])
-        for _, chunk, own in _labeled_chunks(read_chunks(), labels)
+        for chunk, own in _labeled_chunks(read_chunks(), labels)
         for a in range(0, len(chunk), block)
     )
     rows = own = labels[:0]  # what the current piece has left
@@ -367,14 +366,14 @@ def streamed_original_space_error(
 
 
 def _labeled_chunks(chunks, labels):
-    """Yield (first row, chunk, the chunk's labels) per chunk, checking
-    that the chunks hold exactly one row per label."""
+    """Yield (chunk, the chunk's labels) per chunk, checking that the
+    chunks hold exactly one row per label."""
     start = 0
     for chunk in chunks:
         stop = start + len(chunk)
         if stop > len(labels):
             raise ValueError(f"vectors hold more rows than the {len(labels)} labels")
-        yield start, chunk, labels[start:stop]
+        yield chunk, labels[start:stop]
         start = stop
     if start != len(labels):
         raise ValueError(f"vectors hold {start} rows, labels {len(labels)}")
@@ -388,8 +387,8 @@ def rand_index(labels_a: np.ndarray, labels_b: np.ndarray) -> float:
     arguments.
 
     Labelings of non-negative integers whose (max_a + 1) × (max_b + 1)
-    contingency table has at most N cells are counted into that table a
-    chunk of rows at a time; any other pair is sorted. Both give the same
+    contingency table has at most N cells are counted into that table by
+    lloyd._joint_counts; any other pair is sorted. Both give the same
     three pair counts, so the same value.
 
     Args:
@@ -413,15 +412,10 @@ def rand_index(labels_a: np.ndarray, labels_b: np.ndarray) -> float:
 
     shape = _index_count(a), _index_count(b)
     if shape[0] * shape[1] <= n:
-        table = np.zeros(shape, dtype=np.int64)
-        cells = table.reshape(-1)
-        for start in range(0, n, _CHUNK_ROWS):
-            stop = start + _CHUNK_ROWS
-            joint = a[start:stop].astype(np.intp) * shape[1] + b[start:stop].astype(np.intp)
-            np.add.at(cells, joint, 1)
+        table = _joint_counts(a, b, shape)
         together_a = same_pairs(table.sum(axis=1))
         together_b = same_pairs(table.sum(axis=0))
-        together_both = same_pairs(cells)
+        together_both = same_pairs(table)
     else:
         inv_a = np.unique(a, return_inverse=True)[1].astype(np.int64, copy=False)
         inv_b = np.unique(b, return_inverse=True)[1]

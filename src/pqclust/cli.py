@@ -213,6 +213,17 @@ def _load_inputs(args: argparse.Namespace, methods: list[str], keep_vectors: boo
             print(f"wrote binary codes to {args.binary_codes_out}")
     elif "bkmeans" in methods:
         inputs["packed"] = io.read_binary_codes(args.binary_codes)[0]
+    # Each fit's labels are scored on the kept vectors: same N, before any fit.
+    if keep_vectors:
+        read = [(args.codes, inputs["codes"][0])] if "codes" in inputs else []
+        if "packed" in inputs and not binarized:
+            read.append((args.binary_codes, inputs["packed"]))
+        n = len(inputs["vectors"])
+        for path, codes in read:
+            if len(codes) != n:
+                raise ValueError(
+                    f"{path} holds {len(codes)} codes but {args.data} holds {n} vectors"
+                )
     return inputs, time.perf_counter() - start
 
 
@@ -301,7 +312,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     if args.max_iterations < 1:
         raise ValueError(f"--max-iterations must be positive, got {args.max_iterations}")
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     inputs, load_seconds = _load_inputs(args, [args.method])
     start = time.perf_counter()
     result, row, centers_name, write_centers = _run_method(args, inputs, args.method, args.k)
@@ -347,7 +357,9 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
     # All four artifacts are staged together and moved into place only
     # after the labels file holds all N labels, so a failed run leaves the
-    # previous run's artifacts whole.
+    # previous run's artifacts whole, and a run that fails before here
+    # leaves no directory.
+    out_dir.mkdir(parents=True, exist_ok=True)
     with io.staged(labels_path, centers_path, trace_path, result_path) as temps:
         labels_temp, centers_temp, trace_temp, result_temp = temps
         start = time.perf_counter()

@@ -13,13 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import sparse
 
 # IterationStats is imported so that callers can still name it here.
-from .lloyd import _BLOCK_ELEMENTS, _CHUNK_ROWS, ClusteringResult, IterationStats, _lloyd
+from .lloyd import _BLOCK_ELEMENTS, ClusteringResult, IterationStats, _joint_counts, _lloyd
 from .lloyd import _mean_of, _range_runner, _squared_objectives
 from .pq import DistanceTables, _validate_codes, paired_distance_sq
 
@@ -108,29 +108,6 @@ def update_center_sparse(
             raise ValueError(f"histogram for subspace {m} is empty")
         center[m] = np.argmin(_histogram_product(hist.counts[None, :], tables.tables[m]))
     return center
-
-
-def _joint_dtype(k: int, num_codewords: int) -> type:
-    """Index type of the K·L joint (cluster, subindex) bins."""
-    return np.uint32 if k * num_codewords < 2**32 else np.uint64
-
-
-def _member_histograms(codes, labels, k, num_codewords) -> Iterator[np.ndarray]:
-    """Yield each subspace's (K, L) member histogram: row k counts the
-    subindices of the codes labeled k.
-
-    The joint index label * L + subindex is built one chunk of rows at a
-    time; integer counts sum exactly, so the chunking cannot change them.
-    """
-    joint_dtype = _joint_dtype(k, num_codewords)
-    for column in codes.T:
-        hist = np.zeros(k * num_codewords, dtype=np.intp)
-        for a in range(0, len(labels), _CHUNK_ROWS):
-            joint = labels[a : a + _CHUNK_ROWS].astype(joint_dtype)
-            joint *= num_codewords
-            joint += column[a : a + _CHUNK_ROWS]
-            np.add.at(hist, joint, 1)
-        yield hist.reshape(k, -1)
 
 
 def _histogram_product(histogram: np.ndarray, matrix: np.ndarray) -> np.ndarray:
@@ -361,34 +338,34 @@ def _assigned_distance_sq(
 
 
 def _sparse_update_all(
-    codes: np.ndarray,
-    labels: np.ndarray,
-    counts: np.ndarray,
-    tables: DistanceTables,
-) -> tuple[np.ndarray, float]:
+    codes: np.ndarray, labels: np.ndarray, k: int, tables: DistanceTables
+) -> tuple[np.ndarray, np.ndarray, float]:
     """update_center_sparse's vote for every cluster at once, one sparse
-    product per subspace; an empty cluster votes 0 and gets the zero code.
+    product per subspace over its (K, L) member histogram, whose row k
+    counts the subindices of the codes labeled k; an empty cluster votes 0
+    and gets the zero code.
 
-    Returns the new centers and the mean histogram support size over all
-    (non-empty cluster, subspace) pairs.
+    Returns the new centers, each cluster's member count (a histogram's
+    row sums) and the mean histogram support size over all (non-empty
+    cluster, subspace) pairs.
     """
-    k, m_count = len(counts), tables.num_subspaces
+    m_count = tables.num_subspaces
     centers = np.empty((k, m_count), dtype=np.uint8)
     nnz_total = 0
-    for m, hist in enumerate(_member_histograms(codes, labels, k, tables.num_codewords)):
+    for m, column in enumerate(codes.T):
+        hist = _joint_counts(labels, column, (k, tables.num_codewords))
         nnz_total += np.count_nonzero(hist)
         centers[:, m] = _histogram_product(hist, tables.tables[m]).argmin(axis=1)
-    return centers, float(nnz_total / (np.count_nonzero(counts) * m_count))
+    counts = hist.sum(axis=1)
+    return centers, counts, float(nnz_total / (np.count_nonzero(counts) * m_count))
 
 
 def _naive_update_all(
-    codes: np.ndarray,
-    labels: np.ndarray,
-    counts: np.ndarray,
-    tables: DistanceTables,
-) -> tuple[np.ndarray, float]:
-    """Candidate-scan center update for all clusters at once."""
-    k = len(counts)
+    codes: np.ndarray, labels: np.ndarray, k: int, tables: DistanceTables
+) -> tuple[np.ndarray, np.ndarray, None]:
+    """Candidate-scan center update for all clusters at once; returns the
+    centers and each cluster's member count."""
+    counts = np.bincount(labels, minlength=k)
     centers = np.zeros((k, tables.num_subspaces), dtype=np.uint8)
     order = np.argsort(labels, kind="stable")
     stops = np.cumsum(counts)
@@ -396,7 +373,7 @@ def _naive_update_all(
     for ki in np.flatnonzero(counts > 0):
         members = codes[order[starts[ki] : stops[ki]]]
         centers[ki] = update_center_naive(members, tables)
-    return centers, math.nan
+    return centers, counts, None
 
 
 def fit(

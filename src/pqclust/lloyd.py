@@ -62,9 +62,9 @@ class IterationStats:
     update_seconds: float
     repaired_clusters: int = 0
     mean_histogram_nnz: float | None = None
-    label_changes: int | None = None
-    moved_centers: int | None = None
-    rescanned_points: int | None = None
+    label_changes: int = 0
+    moved_centers: int = 0
+    rescanned_points: int = 0
 
 
 @dataclass
@@ -183,10 +183,11 @@ def _lloyd(codes, centers, max_iterations, threads, assign_step, update_all, obj
     point, then the indices of the centers that changed; when none did, the
     loop skips the step and stops, converged at a fixed point.
     objectives(dists) gives the trace's (objective, objective_sq).
-    update_all(codes, labels, counts) returns the new centers and the mean
-    histogram support, NaN for none. The empty clusters, in index order,
-    are re-seeded on the rows of codes with the largest kept distances to
-    the centers they were assigned to, largest first, lowest index on ties.
+    update_all(codes, labels, k) returns the new centers, each cluster's
+    member count and the mean histogram support, None for none. The empty
+    clusters, in index order, are re-seeded on the rows of codes with the
+    largest kept distances to the centers they were assigned to, largest
+    first, lowest index on ties.
     """
     n, k = len(codes), len(centers)
     trace: list[IterationStats] = []
@@ -218,23 +219,36 @@ def _lloyd(codes, centers, max_iterations, threads, assign_step, update_all, obj
                 return ClusteringResult(centers, labels, trace, len(trace), True)
 
             start = time.perf_counter()
-            counts = _chunked_counts(labels, k)
-            centers, mean_nnz = update_all(codes, labels, counts)
+            centers, counts, stats.mean_histogram_nnz = update_all(codes, labels, k)
             empty = np.flatnonzero(counts == 0)
             if len(empty):
                 centers[empty] = codes[_farthest(dists, len(empty))]
             stats.update_seconds = time.perf_counter() - start
             stats.repaired_clusters = len(empty)
-            stats.mean_histogram_nnz = None if math.isnan(mean_nnz) else mean_nnz
     return ClusteringResult(centers, labels, trace, len(trace), False)
 
 
-def _chunked_counts(labels: np.ndarray, k: int) -> np.ndarray:
-    """np.bincount(labels, minlength=k), one chunk of labels at a time."""
-    counts = np.zeros(k, dtype=np.intp)
-    for a in range(0, len(labels), _CHUNK_ROWS):
-        np.add.at(counts, labels[a : a + _CHUNK_ROWS], 1)
-    return counts
+def _joint_dtype(rows: int, cols: int) -> type:
+    """Index type of the R·C joint (row key, column key) cells."""
+    return np.uint32 if rows * cols < 2**32 else np.uint64
+
+
+def _joint_counts(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """The (R, C) intp table whose cell (r, c) counts the i with rows[i] == r
+    and cols[i] == c, for integer keys in [0, R) and [0, C).
+
+    The joint index r·C + c is built and counted one chunk of _CHUNK_ROWS
+    keys at a time; integer counts sum exactly, so the chunking cannot
+    change them. Keys of any integer dtype cast exactly to the joint index's.
+    """
+    dtype = _joint_dtype(*shape)
+    table = np.zeros(shape[0] * shape[1], dtype=np.intp)
+    for a in range(0, len(rows), _CHUNK_ROWS):
+        joint = rows[a : a + _CHUNK_ROWS].astype(dtype)
+        joint *= shape[1]
+        np.add(joint, cols[a : a + _CHUNK_ROWS], out=joint, dtype=dtype, casting="unsafe")
+        np.add.at(table, joint, 1)
+    return table.reshape(shape)
 
 
 def cluster_means(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
@@ -247,12 +261,13 @@ def cluster_means(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     n, dim = points.shape
     if labels.shape != (n,):
         raise ValueError(f"labels must have shape ({n},), got {labels.shape}")
-    return _chunked_means([(points, labels)], k, dim)
+    return _chunked_means([(points, labels)], k, dim)[0]
 
 
-def _chunked_means(chunks, k: int, dim: int) -> np.ndarray:
+def _chunked_means(chunks, k: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """cluster_means of the rows that chunks yields as (points, labels)
-    pairs in row order, whatever their size.
+    pairs in row order, whatever their size, and each cluster's intp
+    member count.
 
     The rows are taken _MEAN_ROWS at a time. One CSR product over the stack
     [running sums; block as float64] adds a block to the sums: row k of the
@@ -281,7 +296,8 @@ def _chunked_means(chunks, k: int, dim: int) -> np.ndarray:
             stack[:k] = sums
             stack[k:width] = points[a : a + len(block)]
             sums = csr_array((ones[:width], order, indptr), shape=(k, width)) @ stack[:width]
-    return np.divide(sums, counts[:, None], out=np.zeros_like(sums), where=counts[:, None] > 0)
+    means = np.divide(sums, counts[:, None], out=np.zeros_like(sums), where=counts[:, None] > 0)
+    return means, counts
 
 
 def _assigned_sq_distances(points, centers, labels, scratch, out) -> None:
@@ -402,8 +418,8 @@ def _kmeans(points, centers, max_iterations, threads) -> ClusteringResult:
         changes = sum(run(partial(_nearest_center_range, points, centers, labels, dists)))
         return (len(points) if moved is None else changes), len(points)
 
-    def update_all(points, labels, counts):
-        return cluster_means(points, labels, len(counts)), math.nan
+    def update_all(points, labels, k):
+        return *_chunked_means([(points, labels)], k, points.shape[1]), None
 
     return _lloyd(
         points, centers, max_iterations, threads, assign_step, update_all, _squared_objectives

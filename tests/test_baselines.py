@@ -23,7 +23,8 @@ from pqclust import (
     unpack_bits,
 )
 from pqclust import lloyd
-from pqclust.baselines import _BINARIZE_ROWS, streamed_original_space_error
+from pqclust.baselines import _BINARIZE_ROWS, _majority_update_all
+from pqclust.baselines import streamed_original_space_error
 from pqclust.clustering import _BLOCK_ELEMENTS
 from pqclust.lloyd import _MEAN_ROWS
 from pqclust.io import generate_synthetic
@@ -64,7 +65,9 @@ class TestClusterMeans:
         assert cluster_means(points, labels, k).tobytes() == expected.tobytes()
         # Fed in chunks that end inside a block, the sums run in the same order.
         chunks = [(points[a : a + 5000], labels[a : a + 5000]) for a in range(0, n, 5000)]
-        assert lloyd._chunked_means(chunks, k, 5).tobytes() == expected.tobytes()
+        means, counts = lloyd._chunked_means(chunks, k, 5)
+        assert means.tobytes() == expected.tobytes()
+        assert np.array_equal(counts, np.bincount(labels, minlength=k))
         # The same terms summed chunk by chunk, then across chunks, differ.
         counts = np.bincount(labels, minlength=k)[:, None]
         chunked = sum(
@@ -485,6 +488,32 @@ class TestMajorityCenter:
             own = int(np.sum(members != center))
             for candidate in itertools.product((0, 1), repeat=bits):
                 assert own <= int(np.sum(members != np.array(candidate)))
+
+    def test_update_all_returns_majorities_and_member_counts(self):
+        # 3000 codes in 1000 clusters leave some empty: zero code, count 0.
+        rng = np.random.default_rng(16)
+        k = 1000
+        packed = rng.integers(0, 256, size=(3000, 3), dtype=np.uint8)
+        labels = rng.integers(0, k, size=3000).astype(np.uint32)
+        tracemalloc.start()
+        try:
+            centers, counts, nnz = _majority_update_all(packed, labels, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One (K, 256) int64 histogram at a time, the next built only once
+        # the last is freed.
+        assert peak < 1.5 * k * 256 * 8
+        assert nnz is None
+        assert np.array_equal(counts, np.bincount(labels, minlength=k))
+        assert (counts == 0).any()
+        for ki in range(k):
+            members = packed[labels == ki]
+            expected = (
+                np.packbits(majority_center(unpack_bits(members, 24)))
+                if len(members) else np.zeros(3, dtype=np.uint8)
+            )
+            assert np.array_equal(centers[ki], expected)
 
 
 class TestHamming:

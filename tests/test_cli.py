@@ -537,6 +537,31 @@ class TestBench:
             "fit": 3, "kmeans_fit": 3, "bkmeans_fit": 3,
         }
 
+    @pytest.mark.parametrize("method", ["pqkmeans", "bkmeans"])
+    def test_data_of_another_n_fails_before_any_fit(
+        self, pipeline, tmp_path, capsys, calls, method
+    ):
+        # The pqkmeans fits used to run before the labels met a --data of
+        # another N, and the error named no file.
+        data = tmp_path / "short.fvecs"
+        io.write_fvecs(data, io.read_fvecs(pipeline["data"])[:1500])
+        packed = tmp_path / "codes.pqkb"
+        io.write_binary_codes(packed, np.zeros((2000, 1), dtype=np.uint8))
+        codes = {
+            "pqkmeans": ["--codes", str(pipeline["codes"]), "--codebook", str(pipeline["book"])],
+            "bkmeans": ["--binary-codes", str(packed)],
+        }[method]
+        out = tmp_path / "bench.csv"
+        code = cli.main([
+            "bench", "--methods", f"{method},kmeans", "--k-grid", "2", *codes,
+            "--data", str(data), "--out", str(out),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{codes[1]} holds 2000 codes but {data} holds 1500 vectors" in err
+        assert calls["fit"] == calls["kmeans_fit"] == calls["bkmeans_fit"] == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["codes.pqkb", "short.fvecs"]
+
     def test_rejects_unknown_method(self, pipeline, capsys):
         code = cli.main([
             "bench", "--methods", "zkmeans", "--k-grid", "2",
@@ -621,6 +646,16 @@ class TestDiagnostics:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_cluster_with_missing_codes_leaves_no_out_dir(self, pipeline, tmp_path, capsys):
+        code = cli.main([
+            "cluster", "--method", "pqkmeans", "--k", "4",
+            "--codes", str(tmp_path / "missing.pqkc"), "--codebook", str(pipeline["book"]),
+            "--out-dir", str(tmp_path / "fresh"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "fresh").exists()
+
     def test_cluster_requires_method_inputs(self, pipeline, tmp_path, capsys):
         code = cli.main([
             "cluster", "--method", "pqkmeans", "--k", "4",
@@ -691,11 +726,11 @@ class TestDiagnostics:
         ):
             assert cli.main(argv) == 1, argv
             assert f"{data}: vectors must be finite, row 70000 holds NaN" in capsys.readouterr().err
-        # cluster makes its output directory before it reads.
+        # cluster makes its output directory only once the fit is done.
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "bk", "codes.pqkc", "km", "labels.bin", "nan.fvecs",
+            "codes.pqkc", "labels.bin", "nan.fvecs",
         ]
-        assert not [*(tmp_path / "km").iterdir(), *(tmp_path / "bk").iterdir()]
+        assert not (tmp_path / "km").exists() and not (tmp_path / "bk").exists()
 
     def test_negative_seed_rejected(self, pipeline, capsys):
         code = cli.main([

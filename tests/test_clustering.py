@@ -25,9 +25,8 @@ from pqclust import (
     update_center_sparse,
 )
 import pqclust
-from pqclust.clustering import _joint_dtype, _member_histograms
 from pqclust.clustering import _sparse_update_all
-from pqclust.lloyd import _CHUNK_ROWS, _chunked_counts
+from pqclust.lloyd import _CHUNK_ROWS, _joint_counts, _joint_dtype
 
 
 def random_tables(m, l_count, seed=0, sub_dim=2):
@@ -88,19 +87,15 @@ class TestChunkedCounts:
     @pytest.mark.parametrize("n", [2 * _CHUNK_ROWS, 2 * _CHUNK_ROWS + 1])
     def test_match_one_bincount_over_all_rows(self, n):
         rng = np.random.default_rng(30)
-        k, l_count = 70, 16
-        labels = rng.integers(0, k, size=n).astype(np.uint32)
-        codes = rng.integers(0, l_count, size=(n, 3), dtype=np.uint8)
-        counts = _chunked_counts(labels, k)
-        assert counts.dtype == np.intp
-        assert np.array_equal(counts, np.bincount(labels, minlength=k))
-        hists = list(_member_histograms(codes, labels, k, l_count))
-        assert len(hists) == 3
-        for column, hist in zip(codes.T, hists):
-            joint = labels.astype(np.intp) * l_count + column
-            expected = np.bincount(joint, minlength=k * l_count).reshape(k, l_count)
-            assert hist.dtype == np.intp
-            assert np.array_equal(hist, expected)
+        k = 70
+        rows = rng.integers(0, k - 1, size=n)  # row k - 1 stays empty
+        for dtype, width in ((np.uint8, 256), (np.uint32, 1000), (np.int64, 1000)):
+            cols = rng.integers(0, width, size=n)
+            expected = np.bincount(rows * width + cols, minlength=k * width).reshape(k, width)
+            table = _joint_counts(rows.astype(dtype), cols.astype(dtype), (k, width))
+            assert table.dtype == np.intp
+            assert np.array_equal(table, expected)
+            assert not table[k - 1].any()
 
     def test_joint_index_widens_when_k_times_l_reaches_2_to_the_32(self):
         assert _joint_dtype(2**24 - 1, 256) == np.uint32
@@ -152,7 +147,8 @@ class TestCenterUpdates:
         labels = rng.integers(0, k, size=3000).astype(np.uint32)
         counts = np.bincount(labels, minlength=k)
         assert (counts == 0).any()
-        centers, mean_nnz = _sparse_update_all(codes, labels, counts, tables)
+        centers, update_counts, mean_nnz = _sparse_update_all(codes, labels, k, tables)
+        assert np.array_equal(update_counts, counts)
         assert centers.shape == (k, m) and centers.dtype == np.uint8
         distinct = pairs = ties = 0
         for ki in range(k):
