@@ -5,8 +5,9 @@ the original vectors (the accuracy ceiling) and k-means on short binary
 codes with Hamming assignment and per-bit majority-vote updates (the
 memory-comparable competitor). All three run through the one Lloyd
 driver in pqclust.lloyd, so they share its stop rule, empty-cluster
-repair and trace; each passes its own assignment step, update and
-objective.
+repair and trace. Bk-means is the code-domain clusterer on byte
+subspaces with the popcount table, so it also shares fit's assignment
+and update; k-means passes its own Euclidean steps.
 Evaluation works on the original vectors: mean distance of every point
 to the mean of its assigned cluster, plus the Rand index against a
 reference labeling.
@@ -21,17 +22,12 @@ from functools import partial
 
 import numpy as np
 
-from .clustering import _first_centers, _histogram_product, _table_assign
+from .clustering import _first_centers, _sparse_update_all, _table_assign
 from .lloyd import _BLOCK_ELEMENTS, _CHUNK_ROWS, ClusteringResult, _assigned_sq_distances
 from .lloyd import _chunked_means, _joint_counts, _kmeans, _lloyd, _mean_of, _pairwise_sum
 from .pq import DistanceTables, _check_finite, _validate_codes
 
 _POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
-
-_BYTES = np.arange(256, dtype=np.uint8)
-
-# Row v holds the bits of byte v, most significant first, as in packbits.
-_BYTE_BITS = np.unpackbits(_BYTES[:, None], axis=1)
 
 # Rows per projection block of binarize.
 _BINARIZE_ROWS = 8192
@@ -201,24 +197,6 @@ def hamming_to_centers(codes: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return _POPCOUNT[xor].sum(axis=2, dtype=np.int64)
 
 
-def _majority_update_all(codes, labels, k):
-    """Per-bit majority centers of every cluster, as majority_center gives,
-    and each cluster's member count.
-
-    Each byte column's (K, 256) member histogram, one held at a time,
-    times the byte-to-bits matrix gives each cluster's count of set
-    bits; a histogram's row sums are the member counts. Empty clusters get
-    zero codes, for the caller to repair.
-    """
-    ones = []
-    for column in codes.T:
-        hist = _joint_counts(labels, column, (k, 256))
-        ones.append(_histogram_product(hist, _BYTE_BITS))
-        counts = hist.sum(axis=1)
-        del hist  # freed before the next byte's histogram is built
-    return np.packbits(2 * np.concatenate(ones, axis=1) > counts[:, None], axis=1), counts, None
-
-
 def _bkmeans_objectives(dists: np.ndarray) -> tuple[float, float]:
     """Mean Hamming distance and mean squared Hamming distance."""
     return float(np.mean(dists)), _mean_of(np.square, dists)
@@ -241,8 +219,14 @@ def bkmeans_fit(
     The trace objective is the mean Hamming distance to the assigned center.
 
     B-bit codes are PQ codes of B/8 byte subspaces whose table is the
-    byte Hamming distance, so the run shares fit's loop, table scan and
-    exact incremental assignment; the update votes from per-byte histograms.
+    byte Hamming distance, so the run is fit's: its loop, table scan,
+    exact incremental assignment and histogram vote. That vote is
+    majority_center's, bit for bit. A byte's summed Hamming distance to
+    the members is a separate sum for each bit, which 1 minimizes when
+    more than half of the members set the bit and both values minimize on
+    a tie. The lowest-index byte among the minimizers, which the vote's
+    argmin takes, therefore sets every tied bit to 0. The votes are sums
+    of counts times popcounts, exact in float64.
 
     Args:
         codes: Packed codes of shape (N, B/8), integers in [0, 255].
@@ -266,11 +250,12 @@ def bkmeans_fit(
     # Every byte subspace has the table T[a, b] = popcount(a ^ b). Sums of
     # these small integers are exact in float64, so the scan's distances and
     # ties are hamming_to_centers'.
-    hamming = _POPCOUNT[np.bitwise_xor.outer(_BYTES, _BYTES)]
+    byte = np.arange(256, dtype=np.uint8)
+    hamming = _POPCOUNT[np.bitwise_xor.outer(byte, byte)]
     tables = DistanceTables(np.broadcast_to(hamming, (width, 256, 256)))
     return _lloyd(
         packed, centers, max_iterations, threads, partial(_table_assign, packed, tables),
-        _majority_update_all, _bkmeans_objectives,
+        partial(_sparse_update_all, tables=tables), _bkmeans_objectives,
     )
 
 

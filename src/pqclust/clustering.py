@@ -340,23 +340,32 @@ def _assigned_distance_sq(
 def _sparse_update_all(
     codes: np.ndarray, labels: np.ndarray, k: int, tables: DistanceTables
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """update_center_sparse's vote for every cluster at once, one sparse
-    product per subspace over its (K, L) member histogram, whose row k
-    counts the subindices of the codes labeled k; an empty cluster votes 0
-    and gets the zero code.
+    """update_center_sparse's vote for every cluster at once: per subspace,
+    a sparse product of the (K, L) member histogram, whose row k counts the
+    subindices of the codes labeled k, with the table, and its argmin. An
+    empty cluster votes 0 and gets the zero code.
+
+    The votes are taken one block of _BLOCK_ELEMENTS // L histogram rows
+    at a time, and each row's product is independent of the others, so the
+    update holds one histogram and one block of votes, never a (K, L) vote
+    matrix. Each histogram is freed before the next one is built.
 
     Returns the new centers, each cluster's member count (a histogram's
     row sums) and the mean histogram support size over all (non-empty
     cluster, subspace) pairs.
     """
-    m_count = tables.num_subspaces
+    m_count, l_count = tables.num_subspaces, tables.num_codewords
     centers = np.empty((k, m_count), dtype=np.uint8)
+    block = max(1, _BLOCK_ELEMENTS // l_count)
     nnz_total = 0
     for m, column in enumerate(codes.T):
-        hist = _joint_counts(labels, column, (k, tables.num_codewords))
+        hist = _joint_counts(labels, column, (k, l_count))
         nnz_total += np.count_nonzero(hist)
-        centers[:, m] = _histogram_product(hist, tables.tables[m]).argmin(axis=1)
-    counts = hist.sum(axis=1)
+        for a in range(0, k, block):
+            rows = slice(a, a + block)
+            centers[rows, m] = _histogram_product(hist[rows], tables.tables[m]).argmin(axis=1)
+        counts = hist.sum(axis=1)
+        del hist
     return centers, counts, float(nnz_total / (np.count_nonzero(counts) * m_count))
 
 

@@ -11,6 +11,7 @@ from scipy.spatial.distance import cdist
 
 from pqclust import (
     Binarizer,
+    DistanceTables,
     binarize,
     bkmeans_fit,
     cluster_means,
@@ -23,9 +24,9 @@ from pqclust import (
     unpack_bits,
 )
 from pqclust import lloyd
-from pqclust.baselines import _BINARIZE_ROWS, _majority_update_all
+from pqclust.baselines import _BINARIZE_ROWS
 from pqclust.baselines import streamed_original_space_error
-from pqclust.clustering import _BLOCK_ELEMENTS
+from pqclust.clustering import _BLOCK_ELEMENTS, _sparse_update_all
 from pqclust.lloyd import _MEAN_ROWS
 from pqclust.io import generate_synthetic
 
@@ -490,21 +491,29 @@ class TestMajorityCenter:
                 assert own <= int(np.sum(members != np.array(candidate)))
 
     def test_update_all_returns_majorities_and_member_counts(self):
-        # 3000 codes in 1000 clusters leave some empty: zero code, count 0.
+        # Fit's update on the popcount tables is the per-bit majority.
+        # 3000 random codes in 1000 clusters leave some empty: zero code,
+        # count 0. Clusters 1000-1009 hold two codes and their complements,
+        # and 1010-1019 one, so every bit of theirs is an exact tie: zero.
         rng = np.random.default_rng(16)
-        k = 1000
-        packed = rng.integers(0, 256, size=(3000, 3), dtype=np.uint8)
-        labels = rng.integers(0, k, size=3000).astype(np.uint32)
+        k = 1020
+        byte = np.arange(256, dtype=np.uint8)[:, None]
+        tables = DistanceTables(np.broadcast_to(hamming_to_centers(byte, byte), (3, 256, 256)))
+        tied = rng.integers(0, 256, size=(30, 3), dtype=np.uint8)
+        packed = np.concatenate(
+            [rng.integers(0, 256, size=(3000, 3), dtype=np.uint8), tied, ~tied]
+        )
+        pairs = np.arange(30) % 20 + 1000
+        labels = np.concatenate([rng.integers(0, 1000, size=3000), pairs, pairs]).astype(np.uint32)
         tracemalloc.start()
         try:
-            centers, counts, nnz = _majority_update_all(packed, labels, k)
+            centers, counts, nnz = _sparse_update_all(packed, labels, k, tables)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # One (K, 256) int64 histogram at a time, the next built only once
-        # the last is freed.
+        # the last is freed, and one block of votes.
         assert peak < 1.5 * k * 256 * 8
-        assert nnz is None
         assert np.array_equal(counts, np.bincount(labels, minlength=k))
         assert (counts == 0).any()
         for ki in range(k):
@@ -514,6 +523,11 @@ class TestMajorityCenter:
                 if len(members) else np.zeros(3, dtype=np.uint8)
             )
             assert np.array_equal(centers[ki], expected)
+        assert not centers[1000:].any()
+        distinct = sum(
+            len(np.unique(packed[labels == ki, m])) for ki in np.flatnonzero(counts) for m in range(3)
+        )
+        assert nnz == distinct / (3 * np.count_nonzero(counts))
 
 
 class TestHamming:
@@ -602,6 +616,9 @@ class TestBkmeans:
         assert [(s.objective, s.objective_sq) for s in got.trace] == objectives
         assert got.iterations_run == len(objectives)
         assert got.converged == converged
+        # Every update is fit's histogram vote, which reports its support.
+        updated = got.trace[:-1] if converged else got.trace
+        assert all(1.0 <= s.mean_histogram_nnz <= 256.0 for s in updated)
         if case == "duplicates_k_near_n":
             assert sum(s.repaired_clusters for s in got.trace) > 0
         if case == "no_center_moves":

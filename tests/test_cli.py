@@ -521,9 +521,14 @@ class TestBench:
             assert 1.0 <= float(row["mean_histogram_nnz"]) <= 16.0
             assert row["bits"] == ""
         for row in rows[2:]:
-            for column in ("m", "l", "naive_update_seconds", "mean_histogram_nnz"):
+            for column in ("m", "l", "naive_update_seconds"):
                 assert row[column] == "", (row["method"], column)
         assert [r["bits"] for r in rows[2:]] == ["", "", "8", "8"]
+        # Bk-means votes on one byte subspace of 256 codewords; k-means keeps
+        # no histograms.
+        assert [r["mean_histogram_nnz"] for r in rows[2:4]] == ["", ""]
+        for row in rows[4:]:
+            assert 1.0 <= float(row["mean_histogram_nnz"]) <= 256.0
 
     def test_reads_and_binarizes_each_input_once(self, pipeline, tmp_path, calls):
         assert cli.main([

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from pqclust import (
     update_center_sparse,
 )
 import pqclust
-from pqclust.clustering import _sparse_update_all
+from pqclust.clustering import _histogram_product, _sparse_update_all
 from pqclust.lloyd import _CHUNK_ROWS, _joint_counts, _joint_dtype
 
 
@@ -165,6 +166,27 @@ class TestCenterUpdates:
         assert mean_nnz == distinct / pairs
         if lattice:
             assert ties > 0  # exact ties occurred and went to the lowest index
+
+    def test_update_all_holds_one_histogram_and_one_block_of_votes(self):
+        # At K=4000, L=256 a (K, L) float64 vote matrix beside the (K, L)
+        # histogram would double the peak; blocks of votes keep it near one.
+        m, k, l_count = 2, 4000, 256
+        rng = np.random.default_rng(22)
+        tables = random_tables(m, l_count, seed=22)
+        codes = rng.integers(0, l_count, size=(20000, m), dtype=np.uint8)
+        labels = rng.integers(0, k, size=20000).astype(np.uint32)
+        tracemalloc.start()
+        try:
+            centers, counts, _ = _sparse_update_all(codes, labels, k, tables)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * k * l_count * 8
+        assert np.array_equal(counts, np.bincount(labels, minlength=k))
+        for mm in range(m):
+            hist = _joint_counts(labels, codes[:, mm], (k, l_count))
+            whole = _histogram_product(hist, tables.tables[mm]).argmin(axis=1)
+            assert np.array_equal(centers[:, mm], whole)
 
     def test_sparse_validation(self):
         tables = random_tables(2, 8)
