@@ -21,7 +21,6 @@ from .baselines import (
 )
 from .clustering import (
     ClusteringResult,
-    FrequencyHistogram,
     IterationStats,
     MemoryEstimate,
     assign,
@@ -54,7 +53,6 @@ __all__ = [
     "Binarizer",
     "ClusteringResult",
     "DistanceTables",
-    "FrequencyHistogram",
     "IterationStats",
     "MAX_CODEWORDS",
     "MemoryEstimate",

@@ -156,15 +156,28 @@ def cmd_encode(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_inputs(args: argparse.Namespace, methods: list[str], keep_vectors: bool = False):
+def _records(records, path, what: str, k_flag: str, k: int):
+    """records, once it holds at least one and at least k of them."""
+    if len(records) == 0:
+        raise ValueError(f"{path}: holds no {what}")
+    if k > len(records):
+        raise ValueError(f"{k_flag} {k} exceeds the {len(records)} {what} in {path}")
+    return records
+
+
+def _load_inputs(
+    args: argparse.Namespace, methods: list[str], k_flag: str, k: int, keep_vectors: bool = False
+):
     """Read the inputs of a cluster or bench run, each once.
 
     Checks that every method is known and has its inputs before reading
-    anything. Returns ({name: input}, the seconds spent reading and
-    preparing them): "codes" holds (codes, L, distance tables) of --codes
-    and --codebook, "vectors" the finite --data vectors that kmeans fits
-    or keep_vectors asks for, and "packed" the binary codes of bkmeans,
-    read from --binary-codes or binarized from --data.
+    anything, and each input as it is read: it must hold at least one
+    record and at least k, the largest value of the flag k_flag. Returns
+    ({name: input}, the seconds spent reading and preparing them): "codes"
+    holds (codes, L, distance tables) of --codes and --codebook, "vectors"
+    the finite --data vectors that kmeans fits or keep_vectors asks for,
+    and "packed" the binary codes of bkmeans, read from --binary-codes or
+    binarized from --data.
     """
     for method in methods:
         if method not in _METHODS:
@@ -180,6 +193,7 @@ def _load_inputs(args: argparse.Namespace, methods: list[str], keep_vectors: boo
     inputs = {}
     if "pqkmeans" in methods:
         codes, m, l_count = io.read_codes(args.codes)
+        _records(codes, args.codes, "codes", k_flag, k)
         codebook = io.read_codebook(args.codebook)
         if codebook.num_subspaces != m or codebook.num_codewords != l_count:
             raise ValueError(
@@ -190,7 +204,7 @@ def _load_inputs(args: argparse.Namespace, methods: list[str], keep_vectors: boo
         inputs["codes"] = codes, l_count, pq.build_distance_tables(codebook)
     keep_vectors = keep_vectors or "kmeans" in methods
     if keep_vectors or binarized:
-        vectors = io.read_fvecs(args.data)
+        vectors = _records(io.read_fvecs(args.data), args.data, "vectors", k_flag, k)
         pq._check_finite(vectors, f"{args.data}: vectors")
         # Vectors read only to be binarized are not kept for the fit.
         if keep_vectors:
@@ -205,7 +219,8 @@ def _load_inputs(args: argparse.Namespace, methods: list[str], keep_vectors: boo
                 io.write_binary_codes(temp, inputs["packed"])
             print(f"wrote binary codes to {args.binary_codes_out}")
     elif "bkmeans" in methods:
-        inputs["packed"] = io.read_binary_codes(args.binary_codes)[0]
+        packed = io.read_binary_codes(args.binary_codes)[0]
+        inputs["packed"] = _records(packed, args.binary_codes, "binary codes", k_flag, k)
     # Each fit's labels are scored on the kept vectors: same N, before any fit.
     if keep_vectors:
         read = [(args.codes, inputs["codes"][0])] if "codes" in inputs else []
@@ -301,7 +316,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     if args.max_iterations < 1:
         raise ValueError(f"--max-iterations must be positive, got {args.max_iterations}")
     out_dir = Path(args.out_dir)
-    inputs, load_seconds = _load_inputs(args, [args.method])
+    inputs, load_seconds = _load_inputs(args, [args.method], "--k", args.k)
     start = time.perf_counter()
     result, row, centers_name, write_centers = _run_method(args, inputs, args.method, args.k)
     fit_seconds = time.perf_counter() - start
@@ -376,6 +391,8 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     n, dim = io.fvecs_shape(args.data)
+    if n == 0:
+        raise ValueError(f"{args.data}: holds no vectors")
     labels = io.read_labels(args.labels)
     if len(labels) != n:
         raise ValueError(
@@ -419,7 +436,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise ValueError("--methods and --k-grid must be non-empty")
     if any(k < 1 for k in k_grid):
         raise ValueError(f"--k-grid entries must be positive, got {k_grid}")
-    inputs, _ = _load_inputs(args, methods, keep_vectors=bool(args.data))
+    inputs, _ = _load_inputs(args, methods, "--k-grid", max(k_grid), bool(args.data))
     eval_vectors = inputs.get("vectors")
     rows = []
     for method in methods:

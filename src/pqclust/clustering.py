@@ -3,9 +3,10 @@
 Points and cluster centers are both PQ codes. Distances come from the
 per-subspace lookup tables, so no original vector is touched after
 encoding. The update step picks each center's per-subspace codeword by
-voting over a frequency histogram of the members' subindices, which
-costs O(N_k + L * nnz(h)) per cluster and subspace instead of the
-O(L * N_k) of the naive candidate scan, while returning the same index.
+voting over a histogram of the members' subindices, a plain (L,) count
+array, which costs O(N_k + L * nnz(h)) per cluster and subspace instead
+of the O(L * N_k) of the naive candidate scan, while returning the same
+index. One sparse vote, _vote, serves every update.
 """
 
 from __future__ import annotations
@@ -31,25 +32,7 @@ from .pq import DistanceTables, _validate_codes, paired_distance_sq
 _GROUP_ROWS = 16384
 
 
-@dataclass(frozen=True)
-class FrequencyHistogram:
-    """Counts of codeword indices inside one (cluster, subspace) pair.
-
-    Attributes:
-        counts: int64 array of shape (L,), counts[l] = number of member
-            codes whose subindex is l.
-        support: Sorted indices of the nonzero bins.
-    """
-
-    counts: np.ndarray
-    support: np.ndarray
-
-    @property
-    def nnz(self) -> int:
-        return len(self.support)
-
-
-def build_histogram(subindices: np.ndarray, num_codewords: int) -> FrequencyHistogram:
+def build_histogram(subindices: np.ndarray, num_codewords: int) -> np.ndarray:
     """Tally subindices of one cluster's members into L bins.
 
     Args:
@@ -57,7 +40,8 @@ def build_histogram(subindices: np.ndarray, num_codewords: int) -> FrequencyHist
         num_codewords: Number of bins L.
 
     Returns:
-        FrequencyHistogram with counts summing to len(subindices).
+        The plain int64 counts of shape (L,): counts[l] is the number of
+        members whose subindex is l, and the counts sum to len(subindices).
     """
     values = np.asarray(subindices)
     if values.ndim != 1:
@@ -67,8 +51,7 @@ def build_histogram(subindices: np.ndarray, num_codewords: int) -> FrequencyHist
             f"subindices must lie in [0, {num_codewords}), "
             f"got range [{values.min()}, {values.max()}]"
         )
-    counts = np.bincount(values.astype(np.intp), minlength=num_codewords)
-    return FrequencyHistogram(counts, np.flatnonzero(counts))
+    return np.bincount(values.astype(np.intp), minlength=num_codewords)
 
 
 def update_center_naive(member_codes: np.ndarray, tables: DistanceTables) -> np.ndarray:
@@ -88,14 +71,12 @@ def update_center_naive(member_codes: np.ndarray, tables: DistanceTables) -> np.
     return center
 
 
-def update_center_sparse(
-    histograms: Sequence[FrequencyHistogram], tables: DistanceTables
-) -> np.ndarray:
+def update_center_sparse(histograms: Sequence[np.ndarray], tables: DistanceTables) -> np.ndarray:
     """Recompute one center from per-subspace member histograms.
 
-    Votes for candidate l are sum_j counts[j] * tables[m][j, l] taken
-    over the nonzero bins only, O(L * nnz) per subspace, by the product
-    fit's update runs on every cluster. Picks the same codeword indices as
+    histograms[m] counts the members' subindices in subspace m, as
+    build_histogram returns them. Each subspace takes _vote, the sparse
+    vote of fit's update, at O(L * nnz). Picks the same codeword indices as
     update_center_naive on the same members.
     """
     if len(histograms) != tables.num_subspaces:
@@ -103,17 +84,19 @@ def update_center_sparse(
             f"expected {tables.num_subspaces} histograms, got {len(histograms)}"
         )
     center = np.empty(tables.num_subspaces, dtype=np.uint8)
-    for m, hist in enumerate(histograms):
-        if hist.nnz == 0:
+    for m, counts in enumerate(histograms):
+        if not np.any(counts):
             raise ValueError(f"histogram for subspace {m} is empty")
-        center[m] = np.argmin(_histogram_product(hist.counts[None, :], tables.tables[m]))
+        center[m] = _vote(np.asarray(counts)[None, :], tables.tables[m])[0]
     return center
 
 
-def _histogram_product(histogram: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """histogram @ matrix with the histogram rows held as a CSR matrix, so
-    a row costs O(nnz * width) and sums its terms in codeword order."""
-    return sparse.csr_array(histogram) @ matrix
+def _vote(histograms: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Per row of the (rows, L) histograms, the codeword whose votes
+    sum_j counts[j] * table[j, l] are least, lowest index on ties. The rows
+    are held as a CSR matrix, so a row costs O(nnz * L) and sums its terms
+    in codeword order."""
+    return (sparse.csr_array(histograms) @ table).argmin(axis=1)
 
 
 def init_centers(codes: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
@@ -341,18 +324,17 @@ def _sparse_update_all(
     codes: np.ndarray, labels: np.ndarray, k: int, tables: DistanceTables
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """update_center_sparse's vote for every cluster at once: per subspace,
-    a sparse product of the (K, L) member histogram, whose row k counts the
-    subindices of the codes labeled k, with the table, and its argmin. An
-    empty cluster votes 0 and gets the zero code.
+    _vote on the (K, L) member histogram, whose row k counts the subindices
+    of the codes labeled k. An empty cluster votes 0 and gets the zero code.
 
     The votes are taken one block of _BLOCK_ELEMENTS // L histogram rows
-    at a time, and each row's product is independent of the others, so the
+    at a time, and each row's vote is independent of the others, so the
     update holds one histogram and one block of votes, never a (K, L) vote
     matrix. Each histogram is freed before the next one is built.
 
-    Returns the new centers, each cluster's member count (a histogram's
-    row sums) and the mean histogram support size over all (non-empty
-    cluster, subspace) pairs.
+    Returns the new centers, each cluster's member count (the first
+    subspace's histogram row sums) and the mean histogram support size
+    over all (non-empty cluster, subspace) pairs.
     """
     m_count, l_count = tables.num_subspaces, tables.num_codewords
     centers = np.empty((k, m_count), dtype=np.uint8)
@@ -360,11 +342,11 @@ def _sparse_update_all(
     nnz_total = 0
     for m, column in enumerate(codes.T):
         hist = _joint_counts(labels, column, (k, l_count))
+        if m == 0:
+            counts = hist.sum(axis=1)
         nnz_total += np.count_nonzero(hist)
         for a in range(0, k, block):
-            rows = slice(a, a + block)
-            centers[rows, m] = _histogram_product(hist[rows], tables.tables[m]).argmin(axis=1)
-        counts = hist.sum(axis=1)
+            centers[a : a + block, m] = _vote(hist[a : a + block], tables.tables[m])
         del hist
     return centers, counts, float(nnz_total / (np.count_nonzero(counts) * m_count))
 

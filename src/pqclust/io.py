@@ -277,6 +277,17 @@ class CodesWriter:
             self._stage.__exit__(exc_type, exc, tb)
 
 
+def _check_payload(path, size: int, n: int, record_bytes: int) -> None:
+    """Check that a payload of size bytes holds exactly the n records of
+    record_bytes each that its header promises, naming the first short one."""
+    if size < n * record_bytes:
+        raise FormatError(
+            f"{path}: truncated record {size // record_bytes} (header promises {n} records)"
+        )
+    if size > n * record_bytes:
+        raise FormatError(f"{path}: trailing bytes after {n} records")
+
+
 def read_codes_header(path) -> tuple[int, int, int]:
     """Return (N, M, L) from a PQKC header whose payload holds exactly N records."""
     with open(path, "rb") as fh:
@@ -290,12 +301,7 @@ def read_codes_header(path) -> tuple[int, int, int]:
         raise FormatError(f"{path}: unsupported PQKC version {version}")
     if m == 0 or not 2 <= l_count <= MAX_CODEWORDS:
         raise FormatError(f"{path}: invalid header fields M={m}, L={l_count}")
-    if size < n * m:
-        raise FormatError(
-            f"{path}: truncated record {size // m} (header promises {n} records)"
-        )
-    if size > n * m:
-        raise FormatError(f"{path}: trailing bytes after {n} records")
+    _check_payload(path, size, n, m)
     return n, m, l_count
 
 
@@ -394,13 +400,7 @@ def read_binary_codes(path) -> tuple[np.ndarray, int]:
             raise FormatError(f"{path}: bad magic {magic!r}, expected b'PQKB'")
         if bits == 0 or bits % 8 != 0:
             raise FormatError(f"{path}: bit count {bits} is not a positive multiple of 8")
-        size = os.fstat(fh.fileno()).st_size - _BINARY_HEADER.size
-        if size < n * (bits // 8):
-            raise FormatError(
-                f"{path}: truncated PQKB payload ({size} of {n * (bits // 8)} bytes)"
-            )
-        if size > n * (bits // 8):
-            raise FormatError(f"{path}: trailing bytes after {n} records")
+        _check_payload(path, os.fstat(fh.fileno()).st_size - _BINARY_HEADER.size, n, bits // 8)
         packed = np.empty((n, bits // 8), dtype=np.uint8)
         _read_into(fh, packed, path, "PQKB payload")
     return packed, bits

@@ -395,6 +395,8 @@ class TestBinarizer:
             train_binarizer(8, 16)
         with pytest.raises(ValueError, match="orthonormal"):
             Binarizer(np.ones((4, 2)))
+        with pytest.raises(ValueError, match=r"rotation must be 2-d, got shape \(4,\)"):
+            Binarizer(np.ones(4))
         # NaN and infinity used to become 0 bits without a word. The first
         # bad row is named, counted across projection blocks.
         bz = train_binarizer(8, 8, seed=1)
@@ -771,6 +773,10 @@ class TestMetrics:
     def test_original_space_error_validation(self):
         with pytest.raises(ValueError, match="labels must have shape"):
             original_space_error(np.zeros((3, 2), dtype=np.float32), np.zeros(2))
+        with pytest.raises(ValueError, match=r"vectors must be 2-d, got shape \(3,\)"):
+            original_space_error(np.zeros(3, dtype=np.float32), np.zeros(3))
+        with pytest.raises(ValueError, match=r"labels must be 1-d, got shape \(5, 1\)"):
+            streamed_original_space_error(lambda: [], np.zeros((5, 1), dtype=np.uint32), 2)
         with pytest.raises(ValueError, match="empty"):
             original_space_error(np.zeros((0, 2), dtype=np.float32), np.zeros(0))
         vectors, labels = np.zeros((5, 2), dtype=np.float32), np.zeros(5, dtype=np.uint32)

@@ -530,6 +530,17 @@ class TestBench:
         for row in rows[4:]:
             assert 1.0 <= float(row["mean_histogram_nnz"]) <= 256.0
 
+    def test_csv_goes_to_stdout_without_out(self, pipeline, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([
+            "bench", "--k-grid", "3", "--codes", str(pipeline["codes"]),
+            "--codebook", str(pipeline["book"]), "--max-iterations", "2",
+        ]) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert [(r["method"], r["n"], r["k"]) for r in rows] == [("pqkmeans", "2000", "3")]
+        assert list(rows[0]) == cli._BENCH_COLUMNS
+        assert list(tmp_path.iterdir()) == []
+
     def test_reads_and_binarizes_each_input_once(self, pipeline, tmp_path, calls):
         assert cli.main([
             "bench", "--methods", "pqkmeans,kmeans,bkmeans", "--k-grid", "5,10,20",
@@ -588,7 +599,137 @@ class TestBench:
         assert set(calls.values()) == {0}
 
 
+_PQ = ["--codes", "{codes}", "--codebook", "{book}"]
+
+
+def _cluster(method, k, *inputs):
+    return ["cluster", "--method", method, "--k", str(k), *inputs, "--out-dir", "{out}"]
+
+
+# Runs that must fail before any fit. Braces name the pipeline's files, the
+# small inputs the test writes under in/, and the one output path {out}.
+_EARLY_FAILURES = [
+    pytest.param(
+        [*_cluster("pqkmeans", 2, *_PQ), "--threads", "0"], "--threads must be positive, got 0",
+        id="threads",
+    ),
+    pytest.param(_cluster("kmeans", 2), "method kmeans needs --data", id="kmeans-inputs"),
+    pytest.param(
+        _cluster("bkmeans", 2, "--data", "{data}"),
+        "method bkmeans needs --binary-codes, or --data with --bits", id="bkmeans-inputs",
+    ),
+    pytest.param(_cluster("pqkmeans", 0, *_PQ), "--k must be positive, got 0", id="k"),
+    pytest.param(
+        [*_cluster("pqkmeans", 2, *_PQ), "--max-iterations", "0"],
+        "--max-iterations must be positive, got 0", id="max-iterations",
+    ),
+    pytest.param(
+        ["eval", "--data", "{data}", "--labels", "{truth}", "--reference", "{short_labels}",
+         "--out", "{out}"],
+        "{short_labels} holds 1999 labels, expected 2000", id="eval-reference",
+    ),
+    pytest.param(
+        ["bench", "--methods", ",", "--k-grid", "2", *_PQ, "--out", "{out}"],
+        "--methods and --k-grid must be non-empty", id="bench-methods",
+    ),
+    pytest.param(
+        ["bench", "--k-grid", ",", *_PQ, "--out", "{out}"],
+        "--methods and --k-grid must be non-empty", id="bench-k-grid",
+    ),
+    pytest.param(
+        ["bench", "--k-grid", "0,5", *_PQ, "--out", "{out}"],
+        "--k-grid entries must be positive, got [0, 5]", id="bench-k-grid-entry",
+    ),
+    # Empty inputs fail by name where they are read.
+    pytest.param(
+        _cluster("pqkmeans", 2, "--codes", "{empty_codes}", "--codebook", "{book}"),
+        "{empty_codes}: holds no codes", id="empty-codes",
+    ),
+    pytest.param(
+        _cluster("bkmeans", 2, "--binary-codes", "{empty_packed}"),
+        "{empty_packed}: holds no binary codes", id="empty-binary-codes",
+    ),
+    pytest.param(
+        ["bench", "--k-grid", "2", "--codes", "{empty_codes}", "--codebook", "{book}",
+         "--out", "{out}"],
+        "{empty_codes}: holds no codes", id="bench-empty-codes",
+    ),
+    pytest.param(
+        _cluster("kmeans", 2, "--data", "{empty_data}"),
+        "{empty_data}: holds no vectors", id="kmeans-empty-data",
+    ),
+    pytest.param(
+        _cluster("bkmeans", 2, "--data", "{empty_data}", "--bits", "8",
+                 "--binary-codes-out", "{out}"),
+        "{empty_data}: holds no vectors", id="bkmeans-empty-data",
+    ),
+    pytest.param(
+        ["eval", "--data", "{empty_data}", "--labels", "{truth}", "--out", "{out}"],
+        "{empty_data}: holds no vectors", id="eval-empty-data",
+    ),
+    pytest.param(
+        ["train-codebook", "--train", "{empty_data}", "--out", "{out}", "--m", "2", "--l", "4"],
+        "{empty_data}: training file holds no vectors", id="train-empty-data",
+    ),
+    pytest.param(
+        ["encode", "--codebook", "{book}", "--data", "{empty_data}", "--out", "{out}"],
+        "{empty_data}: no vectors to encode", id="encode-empty-data",
+    ),
+    # A k above N names the flag, the value and the file.
+    pytest.param(
+        _cluster("pqkmeans", 2001, *_PQ), "--k 2001 exceeds the 2000 codes in {codes}",
+        id="k-above-codes",
+    ),
+    pytest.param(
+        _cluster("kmeans", 2001, "--data", "{data}"),
+        "--k 2001 exceeds the 2000 vectors in {data}", id="k-above-vectors",
+    ),
+    pytest.param(
+        _cluster("bkmeans", 2001, "--data", "{data}", "--bits", "8",
+                 "--binary-codes-out", "{out}"),
+        "--k 2001 exceeds the 2000 vectors in {data}", id="k-above-binarized",
+    ),
+    pytest.param(
+        _cluster("bkmeans", 6, "--binary-codes", "{packed}"),
+        "--k 6 exceeds the 5 binary codes in {packed}", id="k-above-binary-codes",
+    ),
+    pytest.param(
+        ["bench", "--k-grid", "5,3000", *_PQ, "--out", "{out}"],
+        "--k-grid 3000 exceeds the 2000 codes in {codes}", id="k-grid-above-codes",
+    ),
+    pytest.param(
+        _cluster("bkmeans", 2, "--binary-codes", "{truncated}"),
+        "{truncated}: truncated record 2 (header promises 3 records)", id="truncated-binary-codes",
+    ),
+]
+
+
 class TestDiagnostics:
+    @pytest.mark.parametrize("argv, message", _EARLY_FAILURES)
+    def test_fails_before_any_fit_and_writes_nothing(
+        self, pipeline, tmp_path, capsys, calls, argv, message
+    ):
+        inputs = tmp_path / "in"
+        inputs.mkdir()
+        paths = {name: str(path) for name, path in pipeline.items()}
+        paths.update({name: str(inputs / name) for name in (
+            "short_labels", "empty_codes", "empty_packed", "empty_data", "packed", "truncated",
+        )})
+        paths["out"] = str(tmp_path / "out")
+        io.write_labels(paths["short_labels"], np.zeros(1999, dtype=np.uint32))
+        io.write_codes(paths["empty_codes"], np.zeros((0, 4), dtype=np.uint8), 16)
+        io.write_binary_codes(paths["empty_packed"], np.zeros((0, 1), dtype=np.uint8))
+        io.write_fvecs(paths["empty_data"], np.zeros((0, 8), dtype=np.float32))
+        io.write_binary_codes(paths["packed"], np.arange(5, dtype=np.uint8)[:, None])
+        io.write_binary_codes(paths["truncated"], np.zeros((3, 1), dtype=np.uint8))
+        with open(paths["truncated"], "r+b") as fh:
+            fh.truncate(os.path.getsize(paths["truncated"]) - 1)
+        assert cli.main([arg.format(**paths) for arg in argv]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {message.format(**paths)}"]
+        assert calls["fit"] == calls["kmeans_fit"] == calls["bkmeans_fit"] == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["in"]
+
     def test_indivisible_subspaces(self, pipeline, tmp_path, capsys):
         code = cli.main([
             "train-codebook",

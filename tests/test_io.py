@@ -408,12 +408,16 @@ class TestBinaryCodes:
         with pytest.raises(FormatError, match="multiple of 8"):
             read_binary_codes(path)
 
+        # Both code formats name the first short record, as PQKC does.
         path.write_bytes(header.pack(b"PQKB", 8, 3) + b"\x00\x00")
-        with pytest.raises(FormatError, match="truncated PQKB payload"):
+        with pytest.raises(FormatError, match=r"truncated record 2 \(header promises 3 records\)"):
+            read_binary_codes(path)
+        path.write_bytes(header.pack(b"PQKB", 16, 3) + b"\x00" * 3)
+        with pytest.raises(FormatError, match=r"truncated record 1 \(header promises 3 records\)"):
             read_binary_codes(path)
 
         path.write_bytes(header.pack(b"PQKB", 8, 1) + b"\x00\x00")
-        with pytest.raises(FormatError, match="trailing bytes"):
+        with pytest.raises(FormatError, match="trailing bytes after 1 records"):
             read_binary_codes(path)
 
         with pytest.raises(ValueError, match="shape"):
