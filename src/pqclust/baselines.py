@@ -23,9 +23,9 @@ from functools import partial
 import numpy as np
 
 from .clustering import _first_centers, _sparse_update_all, _table_assign
-from .lloyd import _BLOCK_ELEMENTS, _CHUNK_ROWS, ClusteringResult, _assigned_sq_distances
-from .lloyd import _chunked_means, _joint_counts, _kmeans, _lloyd, _mean_of, _pairwise_sum
-from .pq import DistanceTables, _check_finite, _validate_codes
+from .lloyd import _BLOCK_ELEMENTS, _CHUNK_ROWS, ClusteringResult, _assigned_sq_distances, _kmeans
+from .lloyd import _check_indices, _chunked_means, _joint_counts, _lloyd, _mean_of, _pairwise_sum
+from .pq import DistanceTables, _check_finite
 
 _POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
@@ -240,13 +240,12 @@ def bkmeans_fit(
     Returns:
         ClusteringResult with packed uint8 centers of shape (K, B/8).
     """
-    packed = np.asarray(codes)
-    if packed.ndim != 2 or packed.shape[1] == 0:
-        raise ValueError(f"codes must have shape (N, B/8), got {packed.shape}")
+    packed = _check_indices(codes, (None, None), 256, "codes").astype(np.uint8, copy=False)
     width = packed.shape[1]
-    packed = _validate_codes(packed, width, 256).astype(np.uint8, copy=False)
+    if width == 0:
+        raise ValueError(f"codes must have shape (N, B/8), B >= 8, got {packed.shape}")
     centers = _first_centers(packed, k, max_iterations, seed, initial_centers)
-    centers = _validate_codes(centers, width, 256).astype(np.uint8, copy=False)
+    centers = _check_indices(centers, (k, width), 256, "initial_centers").astype(np.uint8)
     # Every byte subspace has the table T[a, b] = popcount(a ^ b). Sums of
     # these small integers are exact in float64, so the scan's distances and
     # ties are hamming_to_centers'.
@@ -268,19 +267,18 @@ def original_space_error(vectors: np.ndarray, labels: np.ndarray) -> float:
 
     Args:
         vectors: Original data of shape (N, D).
-        labels: Cluster index per point, shape (N,), each in [0, N).
+        labels: Cluster index per point: (N,) integers (not bool) in
+            [0, N), else ValueError naming them.
 
     Returns:
         The mean Euclidean distance as a float.
     """
     data = np.asarray(vectors, dtype=np.float32)
-    labels = np.asarray(labels)
     if data.ndim != 2:
         raise ValueError(f"vectors must be 2-d, got shape {data.shape}")
-    if labels.shape != (len(data),):
-        raise ValueError(
-            f"labels must have shape ({len(data)},), got {labels.shape}"
-        )
+    if len(data) == 0:
+        raise ValueError("cannot evaluate an empty dataset")
+    labels = _check_indices(labels, (len(data),), len(data), "labels")
     return streamed_original_space_error(lambda: [data], labels, data.shape[1])
 
 
@@ -303,25 +301,21 @@ def streamed_original_space_error(
     Args:
         read_chunks: Returns a fresh iterable of float32 (n_i, D) chunks
             that together hold the N vectors in row order; called twice.
-        labels: Cluster index per point, shape (N,), each in [0, N).
+        labels: Cluster index per point: (N,) integers (not bool) in
+            [0, N), N >= 1, else ValueError naming them.
         dim: The vectors' dimension D.
         labels_name: What the labels are called in error messages.
 
     Returns:
         The mean Euclidean distance as a float.
     """
-    labels = np.asarray(labels)
-    if labels.ndim != 1:
-        raise ValueError(f"labels must be 1-d, got shape {labels.shape}")
-    n = len(labels)
+    n = np.size(labels)
     if n == 0:
         raise ValueError("cannot evaluate an empty dataset")
     # No clustering of N points has a label at or above N; checked before
     # the means, which are sized by the largest label.
-    top = int(labels.max())
-    if top >= n:
-        raise ValueError(f"{labels_name}: label {top} is out of range for {n} points")
-    means = _chunked_means(_labeled_chunks(read_chunks(), labels), top + 1, dim)[0]
+    labels = _check_indices(labels, (n,), n, labels_name)
+    means = _chunked_means(_labeled_chunks(read_chunks(), labels), int(labels.max()) + 1, dim)[0]
     scratch = np.empty(max(_BLOCK_ELEMENTS, dim))
     block = max(1, len(scratch) // max(1, dim))
     pieces = (

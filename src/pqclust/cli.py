@@ -403,7 +403,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     report: dict[str, object] = {
         "n": n,
         "original_space_error": baselines.streamed_original_space_error(
-            lambda: next(passes), labels, dim, str(args.labels)
+            lambda: next(passes), labels, dim, f"{args.labels}: labels"
         ),
     }
     if args.reference:

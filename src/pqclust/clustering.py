@@ -20,9 +20,9 @@ import numpy as np
 from scipy import sparse
 
 # IterationStats is imported so that callers can still name it here.
-from .lloyd import _BLOCK_ELEMENTS, ClusteringResult, IterationStats, _joint_counts, _lloyd
-from .lloyd import _mean_of, _range_runner, _squared_objectives
-from .pq import DistanceTables, _validate_codes, paired_distance_sq
+from .lloyd import _BLOCK_ELEMENTS, ClusteringResult, IterationStats, _check_indices
+from .lloyd import _joint_counts, _lloyd, _mean_of, _range_runner, _squared_objectives
+from .pq import DistanceTables, paired_distance_sq
 
 # Rows per selection group of the incremental assignment: each group picks
 # the rows it must scan, scans them in cache blocks, then merges them.
@@ -36,21 +36,15 @@ def build_histogram(subindices: np.ndarray, num_codewords: int) -> np.ndarray:
     """Tally subindices of one cluster's members into L bins.
 
     Args:
-        subindices: Integer subindices of the members in one subspace.
+        subindices: The members' subindices in one subspace: 1-d integers
+            (not bool) in [0, L), else ValueError naming them.
         num_codewords: Number of bins L.
 
     Returns:
         The plain int64 counts of shape (L,): counts[l] is the number of
         members whose subindex is l, and the counts sum to len(subindices).
     """
-    values = np.asarray(subindices)
-    if values.ndim != 1:
-        raise ValueError(f"subindices must be 1-d, got shape {values.shape}")
-    if values.size and (values.min() < 0 or values.max() >= num_codewords):
-        raise ValueError(
-            f"subindices must lie in [0, {num_codewords}), "
-            f"got range [{values.min()}, {values.max()}]"
-        )
+    values = _check_indices(subindices, (None,), num_codewords, "subindices")
     return np.bincount(values.astype(np.intp), minlength=num_codewords)
 
 
@@ -61,7 +55,8 @@ def update_center_naive(member_codes: np.ndarray, tables: DistanceTables) -> np.
     squared distance to all member subindices (lowest index on ties).
     Cost is O(L * N_k) per subspace.
     """
-    codes = _validate_codes(member_codes, tables.num_subspaces, tables.num_codewords)
+    shape, bound = (None, tables.num_subspaces), tables.num_codewords
+    codes = _check_indices(member_codes, shape, bound, "member_codes")
     if len(codes) == 0:
         raise ValueError("cannot update a center from an empty cluster")
     center = np.empty(tables.num_subspaces, dtype=np.uint8)
@@ -75,9 +70,10 @@ def update_center_sparse(histograms: Sequence[np.ndarray], tables: DistanceTable
     """Recompute one center from per-subspace member histograms.
 
     histograms[m] counts the members' subindices in subspace m, as
-    build_histogram returns them. Each subspace takes _vote, the sparse
-    vote of fit's update, at O(L * nnz). Picks the same codeword indices as
-    update_center_naive on the same members.
+    build_histogram returns them: (L,) integers (not bool), non-negative and
+    not all zero, else ValueError naming subspace m. Each subspace takes
+    _vote, the sparse vote of fit's update, at O(L * nnz). Picks the same
+    codeword indices as update_center_naive on the same members.
     """
     if len(histograms) != tables.num_subspaces:
         raise ValueError(
@@ -85,9 +81,11 @@ def update_center_sparse(histograms: Sequence[np.ndarray], tables: DistanceTable
         )
     center = np.empty(tables.num_subspaces, dtype=np.uint8)
     for m, counts in enumerate(histograms):
+        name = f"histogram for subspace {m}"
+        counts = _check_indices(counts, (tables.num_codewords,), math.inf, name)
         if not np.any(counts):
-            raise ValueError(f"histogram for subspace {m} is empty")
-        center[m] = _vote(np.asarray(counts)[None, :], tables.tables[m])[0]
+            raise ValueError(f"{name} is empty")
+        center[m] = _vote(counts[None, :], tables.tables[m])[0]
     return center
 
 
@@ -262,8 +260,9 @@ def assign(
         uint32 labels of shape (N,), ties broken toward the lowest
         center index.
     """
-    codes = _validate_codes(codes, tables.num_subspaces, tables.num_codewords)
-    centers = _validate_codes(centers, tables.num_subspaces, tables.num_codewords)
+    shape, bound = (None, tables.num_subspaces), tables.num_codewords
+    codes = _check_indices(codes, shape, bound, "codes")
+    centers = _check_indices(centers, shape, bound, "centers")
     if len(centers) == 0:
         raise ValueError("centers must be non-empty")
     labels = np.empty(len(codes), dtype=np.uint32)
@@ -278,7 +277,9 @@ def pq_cost(
     assignment: np.ndarray,
     tables: DistanceTables,
 ) -> float:
-    """Mean symmetric distance (non-squared) of points to assigned centers."""
+    """Mean symmetric distance (non-squared) of points to assigned centers.
+    codes (N, M), centers (K, M) and assignment (N,) must be integers (not
+    bool) in [0, L), [0, L) and [0, K), else ValueError naming the input."""
     sd_sq = _assigned_distance_sq(codes, centers, assignment, tables)
     return _mean_of(np.sqrt, sd_sq) if len(sd_sq) else 0.0
 
@@ -300,23 +301,10 @@ def _assigned_distance_sq(
     assignment: np.ndarray,
     tables: DistanceTables,
 ) -> np.ndarray:
-    codes = _validate_codes(codes, tables.num_subspaces, tables.num_codewords)
-    assignment = np.asarray(assignment)
-    if assignment.shape != (len(codes),):
-        raise ValueError(
-            f"assignment must have shape ({len(codes)},), got {assignment.shape}"
-        )
-    if not np.issubdtype(assignment.dtype, np.integer):
-        raise ValueError(
-            f"assignment must hold integer labels, got dtype {assignment.dtype}"
-        )
-    if len(assignment):
-        low, high = int(assignment.min()), int(assignment.max())
-        if low < 0 or high >= len(centers):
-            raise ValueError(
-                f"assignment references center {low if low < 0 else high} "
-                f"outside [0, {len(centers)})"
-            )
+    shape, bound = (None, tables.num_subspaces), tables.num_codewords
+    codes = _check_indices(codes, shape, bound, "codes")
+    centers = _check_indices(centers, shape, bound, "centers")
+    assignment = _check_indices(assignment, (len(codes),), len(centers), "assignment")
     return paired_distance_sq(tables, codes, centers[assignment])
 
 
@@ -411,11 +399,12 @@ def fit(
     Returns:
         ClusteringResult with uint8 centers of shape (K, M).
     """
-    codes = _validate_codes(codes, tables.num_subspaces, tables.num_codewords)
+    shape, bound = (None, tables.num_subspaces), tables.num_codewords
+    codes = _check_indices(codes, shape, bound, "codes")
     if update not in ("sparse", "naive"):
         raise ValueError(f"update must be 'sparse' or 'naive', got {update!r}")
     centers = _first_centers(codes, k, max_iterations, seed, initial_centers)
-    centers = _validate_codes(centers, tables.num_subspaces, tables.num_codewords)
+    centers = _check_indices(centers, shape, bound, "initial_centers")
     update_all = _sparse_update_all if update == "sparse" else _naive_update_all
     return _lloyd(
         codes, centers, max_iterations, threads, partial(_table_assign, codes, tables),

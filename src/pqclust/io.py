@@ -36,7 +36,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .pq import MAX_CODEWORDS, PQCodebook, _validate_codes
+from .lloyd import _check_indices
+from .pq import MAX_CODEWORDS, PQCodebook
 
 _CODE_HEADER = struct.Struct("<4sIQII")
 _BOOK_HEADER = struct.Struct("<4sIIII")
@@ -219,14 +220,14 @@ def write_bvecs(path, vectors: np.ndarray) -> None:
 
 
 def write_codes(path, codes: np.ndarray, num_codewords: int) -> None:
-    """Write integer PQ codes of shape (N, M) as a PQKC file."""
-    arr = np.asarray(codes)
-    if arr.ndim != 2 or arr.shape[1] == 0:
-        raise ValueError(f"codes must have shape (N, M), M >= 1, got {arr.shape}")
+    """Write (N, M) PQ codes, integers (not bool) in [0, L) with M >= 1, as
+    a PQKC file; other codes raise ValueError naming them."""
     if not 2 <= num_codewords <= MAX_CODEWORDS:
         raise ValueError(f"num_codewords must be in [2, {MAX_CODEWORDS}], got {num_codewords}")
-    _validate_codes(arr, arr.shape[1], num_codewords)
+    arr = _check_indices(codes, (None, None), num_codewords, "codes")
     n, m = arr.shape
+    if m == 0:
+        raise ValueError(f"codes must have shape (N, M), M >= 1, got {arr.shape}")
     with open(path, "wb") as fh:
         fh.write(_CODE_HEADER.pack(b"PQKC", FORMAT_VERSION, n, m, num_codewords))
         _write_rows(fh, arr, np.uint8)
@@ -241,6 +242,8 @@ class CodesWriter:
     """
 
     def __init__(self, path, n: int, m: int, num_codewords: int) -> None:
+        if not 0 <= n < 2**64:
+            raise ValueError(f"record count must lie in [0, 2**64), got {n}")
         if m < 1 or not 2 <= num_codewords <= MAX_CODEWORDS:
             raise ValueError(f"invalid code geometry M={m}, L={num_codewords}")
         self._path = path
@@ -254,10 +257,8 @@ class CodesWriter:
         self._fh.write(_CODE_HEADER.pack(b"PQKC", FORMAT_VERSION, n, m, num_codewords))
 
     def write(self, codes: np.ndarray) -> None:
-        arr = np.asarray(codes)
-        if arr.ndim != 2 or arr.shape[1] != self._m:
-            raise ValueError(f"chunk must have shape (n, {self._m}), got {arr.shape}")
-        _write_rows(self._fh, _validate_codes(arr, self._m, self._l), np.uint8)
+        arr = _check_indices(codes, (None, self._m), self._l, "codes")
+        _write_rows(self._fh, arr, np.uint8)
         self._written += len(arr)
 
     def close(self) -> None:
@@ -305,12 +306,12 @@ def read_codes_header(path) -> tuple[int, int, int]:
     return n, m, l_count
 
 
-def _code_chunks(path, chunk_records: int, out: np.ndarray | None = None) -> Iterator[np.ndarray]:
-    """Read a PQKC payload one validated chunk at a time, each straight
-    into its rows of `out`, or into a fresh array when out is None."""
+def _code_chunks(path, header, chunk_records: int, out=None) -> Iterator[np.ndarray]:
+    """Read the PQKC payload of read_codes_header's (N, M, L) in validated
+    chunks, each straight into its rows of `out`, or a fresh array if None."""
     if chunk_records < 1:
         raise ValueError(f"chunk_records must be positive, got {chunk_records}")
-    n, m, l_count = read_codes_header(path)
+    n, m, l_count = header
     with open(path, "rb") as fh:
         fh.seek(_CODE_HEADER.size)
         for index in range(0, n, chunk_records):
@@ -328,16 +329,16 @@ def _code_chunks(path, chunk_records: int, out: np.ndarray | None = None) -> Ite
 
 def iter_codes(path, chunk_records: int = 262144) -> Iterator[np.ndarray]:
     """Stream a PQKC file as uint8 chunks of shape (n_i, M)."""
-    return _code_chunks(path, chunk_records)
+    yield from _code_chunks(path, read_codes_header(path), chunk_records)
 
 
 def read_codes(path) -> tuple[np.ndarray, int, int]:
     """Load a PQKC file. Returns (codes of shape (N, M), M, L)."""
-    n, m, l_count = read_codes_header(path)
-    codes = np.empty((n, m), dtype=np.uint8)
-    for _ in _code_chunks(path, 262144, codes):
+    header = read_codes_header(path)
+    codes = np.empty(header[:2], dtype=np.uint8)
+    for _ in _code_chunks(path, header, 262144, codes):
         pass
-    return codes, m, l_count
+    return codes, header[1], header[2]
 
 
 # ---------------------------------------------------------------------------
@@ -380,11 +381,11 @@ def read_codebook(path) -> PQCodebook:
 
 
 def write_binary_codes(path, packed: np.ndarray) -> None:
-    """Write packed binary codes of shape (N, B/8) as a PQKB file."""
-    arr = np.asarray(packed)
-    if arr.ndim != 2 or arr.shape[1] == 0:
+    """Write (N, B/8) packed binary codes, integers (not bool) in [0, 256)
+    with B >= 8, as a PQKB file; other codes raise ValueError naming them."""
+    arr = _check_indices(packed, (None, None), 256, "packed codes")
+    if arr.shape[1] == 0:
         raise ValueError(f"packed codes must have shape (N, B/8), got {arr.shape}")
-    _validate_codes(arr, arr.shape[1], 256)
     with open(path, "wb") as fh:
         fh.write(_BINARY_HEADER.pack(b"PQKB", 8 * arr.shape[1], len(arr)))
         _write_rows(fh, arr, np.uint8)
@@ -411,14 +412,9 @@ def read_binary_codes(path) -> tuple[np.ndarray, int]:
 
 
 def write_labels(path, labels: np.ndarray) -> None:
-    """Write cluster labels as a bare little-endian uint32 array."""
-    arr = np.asarray(labels)
-    if arr.ndim != 1:
-        raise ValueError(f"labels must be 1-d, got shape {arr.shape}")
-    if not np.issubdtype(arr.dtype, np.integer):
-        raise ValueError(f"labels must be integers, got dtype {arr.dtype}")
-    if arr.size and (arr.min() < 0 or arr.max() > np.iinfo(np.uint32).max):
-        raise ValueError("labels must fit in uint32")
+    """Write 1-d labels, integers (not bool) in [0, 2**32), as a bare
+    little-endian uint32 array; other labels raise ValueError naming them."""
+    arr = _check_indices(labels, (None,), 2**32, "labels")
     with open(path, "wb") as fh:
         _write_rows(fh, arr, "<u4")
 

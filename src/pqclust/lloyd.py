@@ -1,5 +1,9 @@
 """The Lloyd loop of every clusterer in the package, and the Euclidean
 nearest-center scan that k-means, codebook training and encoding share.
+
+Every index array a caller passes in (codes, labels, subindices, counts)
+goes through _check_indices: the expected shape, an integer dtype other
+than bool and entries in [0, bound), or a ValueError naming the input.
 """
 
 from __future__ import annotations
@@ -36,6 +40,22 @@ _U32 = 2.0**-24  # unit roundoff of float32
 _U64 = 2.0**-53  # unit roundoff of float64
 _TINY32 = 2.0**-126  # smallest normal float32
 _MAX32 = float(np.finfo(np.float32).max)
+
+
+def _check_indices(values, shape: tuple, bound, name: str) -> np.ndarray:
+    """values as an array once it has `shape` (None: any length), an integer
+    dtype other than bool and every entry in [0, bound); else ValueError
+    naming the input and giving the offending shape, dtype or entry."""
+    arr = np.asarray(values)
+    if arr.ndim != len(shape) or any(s not in (None, d) for s, d in zip(shape, arr.shape)):
+        raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+    if not np.issubdtype(arr.dtype, np.integer):  # bool is no numpy integer type
+        raise ValueError(f"{name} must be integers, got dtype {arr.dtype}")
+    if arr.size:
+        low, high = arr.min(), arr.max()
+        if low < 0 or high >= bound:
+            raise ValueError(f"{name} must lie in [0, {bound}), got {low if low < 0 else high}")
+    return arr
 
 
 @dataclass
@@ -254,20 +274,19 @@ def _joint_counts(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) ->
 def cluster_means(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     """Per-cluster float64 means; rows of empty clusters are zero.
 
-    Each cluster's sum is np.bincount's with weights: float64, from zero,
-    the members added in row order.
+    labels must be (N,) integers (not bool) in [0, k); else ValueError
+    naming them. Each cluster's sum is np.bincount's with weights: float64,
+    from zero, the members added in row order.
     """
-    points, labels = np.asarray(points), np.asarray(labels)
+    points = np.asarray(points)
     n, dim = points.shape
-    if labels.shape != (n,):
-        raise ValueError(f"labels must have shape ({n},), got {labels.shape}")
-    return _chunked_means([(points, labels)], k, dim)[0]
+    return _chunked_means([(points, _check_indices(labels, (n,), k, "labels"))], k, dim)[0]
 
 
 def _chunked_means(chunks, k: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """cluster_means of the rows that chunks yields as (points, labels)
     pairs in row order, whatever their size, and each cluster's intp
-    member count.
+    member count. The labels must lie in [0, k).
 
     The rows are taken _MEAN_ROWS at a time. One CSR product over the stack
     [running sums; block as float64] adds a block to the sums: row k of the
@@ -287,8 +306,6 @@ def _chunked_means(chunks, k: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
         for a in range(0, len(labels), _MEAN_ROWS):
             block = labels[a : a + _MEAN_ROWS].astype(np.intp)
             members = np.bincount(block, minlength=k)
-            if len(members) > k:
-                raise ValueError(f"labels must lie in [0, {k}), got {block.max()}")
             counts += members
             np.cumsum(members + 1, out=indptr[1:])
             order = np.argsort(np.concatenate([heads, block.astype(key)]), kind="stable")

@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .lloyd import _kmeans, _nearest_center_range, _range_runner
+from .lloyd import _check_indices, _kmeans, _nearest_center_range, _range_runner
 
 MAX_CODEWORDS = 256
 
@@ -96,22 +96,6 @@ class DistanceTables:
     @property
     def num_codewords(self) -> int:
         return self.tables.shape[1]
-
-
-def _validate_codes(codes: np.ndarray, num_subspaces: int, num_codewords: int) -> np.ndarray:
-    codes = np.asarray(codes)
-    if codes.ndim != 2 or codes.shape[1] != num_subspaces:
-        raise ValueError(
-            f"codes must have shape (N, {num_subspaces}), got {codes.shape}"
-        )
-    if not np.issubdtype(codes.dtype, np.integer):
-        raise ValueError(f"codes must be integers, got dtype {codes.dtype}")
-    if codes.size and (codes.min() < 0 or codes.max() >= num_codewords):
-        raise ValueError(
-            f"code indices must lie in [0, {num_codewords}), below L={num_codewords}, "
-            f"got range [{codes.min()}, {codes.max()}]"
-        )
-    return codes
 
 
 def _check_finite(arr: np.ndarray, name: str, first_row: int = 0) -> None:
@@ -235,7 +219,7 @@ def decode(codebook: PQCodebook, codes: np.ndarray) -> np.ndarray:
     arr = np.asarray(codes)
     single = arr.ndim == 1
     arr = np.atleast_2d(arr)
-    arr = _validate_codes(arr, codebook.num_subspaces, codebook.num_codewords)
+    arr = _check_indices(arr, (None, codebook.num_subspaces), codebook.num_codewords, "codes")
     parts = [codebook.codewords[m][arr[:, m]] for m in range(codebook.num_subspaces)]
     out = np.concatenate(parts, axis=1)
     return out[0] if single else out
@@ -270,10 +254,8 @@ def paired_distance_sq(tables: DistanceTables, a: np.ndarray, b: np.ndarray) -> 
         float64 array of shape (N,). Entry n sums tables[m][a[n, m], b[n, m]]
         over subspaces.
     """
-    a = _validate_codes(a, tables.num_subspaces, tables.num_codewords)
-    b = _validate_codes(b, tables.num_subspaces, tables.num_codewords)
-    if a.shape != b.shape:
-        raise ValueError(f"code batches differ in shape: {a.shape} vs {b.shape}")
+    a = _check_indices(a, (None, tables.num_subspaces), tables.num_codewords, "a")
+    b = _check_indices(b, a.shape, tables.num_codewords, "b")
     acc = np.zeros(len(a), dtype=np.float64)
     for m in range(tables.num_subspaces):
         acc += tables.tables[m][a[:, m], b[:, m]]
@@ -296,8 +278,6 @@ def symmetric_distance_sq(tables: DistanceTables, a: np.ndarray, b: np.ndarray) 
     Returns:
         Squared distance as a float.
     """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 1 or b.ndim != 1:
-        raise ValueError("symmetric_distance_sq expects single codes of shape (M,)")
+    shape, bound = (tables.num_subspaces,), tables.num_codewords
+    a, b = _check_indices(a, shape, bound, "a"), _check_indices(b, shape, bound, "b")
     return float(paired_distance_sq(tables, a[None, :], b[None, :])[0])

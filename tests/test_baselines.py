@@ -775,7 +775,7 @@ class TestMetrics:
             original_space_error(np.zeros((3, 2), dtype=np.float32), np.zeros(2))
         with pytest.raises(ValueError, match=r"vectors must be 2-d, got shape \(3,\)"):
             original_space_error(np.zeros(3, dtype=np.float32), np.zeros(3))
-        with pytest.raises(ValueError, match=r"labels must be 1-d, got shape \(5, 1\)"):
+        with pytest.raises(ValueError, match=r"labels must have shape \(5,\), got \(5, 1\)"):
             streamed_original_space_error(lambda: [], np.zeros((5, 1), dtype=np.uint32), 2)
         with pytest.raises(ValueError, match="empty"):
             original_space_error(np.zeros((0, 2), dtype=np.float32), np.zeros(0))
@@ -791,10 +791,10 @@ class TestMetrics:
         vectors = np.ones((100, 2), dtype=np.float32)
         labels = np.zeros(100, dtype=np.uint32)
         labels[3] = 4_000_000_000
-        with pytest.raises(ValueError, match="label 4000000000 is out of range for 100 points"):
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 100\), got 4000000000"):
             original_space_error(vectors, labels)
         labels[3] = 100
-        with pytest.raises(ValueError, match="label 100 is out of range for 100 points"):
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 100\), got 100"):
             original_space_error(vectors, labels)
         labels[3] = 99
         assert original_space_error(vectors, labels) == 0.0

@@ -429,7 +429,7 @@ class TestEval:
         code = cli.main(["eval", "--data", str(pipeline["data"]), "--labels", str(path)])
         assert code == 1
         err = capsys.readouterr().err
-        assert err == f"error: {path}: label 4000000000 is out of range for 2000 points\n"
+        assert err == f"error: {path}: labels must lie in [0, 2000), got 4000000000\n"
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="VmHWM is Linux's")
     def test_eval_peak_stays_far_below_the_file(self, tmp_path):
@@ -539,6 +539,28 @@ class TestBench:
         rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
         assert [(r["method"], r["n"], r["k"]) for r in rows] == [("pqkmeans", "2000", "3")]
         assert list(rows[0]) == cli._BENCH_COLUMNS
+        assert list(tmp_path.iterdir()) == []
+
+    def test_disagreeing_naive_update_aborts_the_bench(
+        self, pipeline, tmp_path, capsys, monkeypatch
+    ):
+        fit = clustering.fit
+
+        def skewed(*args, update="sparse", **kwargs):
+            result = fit(*args, update=update, **kwargs)
+            if update == "naive":
+                result.labels[0] += 1
+            return result
+
+        monkeypatch.setattr(clustering, "fit", skewed)
+        out = tmp_path / "bench.csv"
+        assert cli.main([
+            "bench", "--k-grid", "3", "--codes", str(pipeline["codes"]),
+            "--codebook", str(pipeline["book"]), "--max-iterations", "2",
+            "--time-naive-update", "--out", str(out),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: naive and sparse updates disagreed; benchmark aborted\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_reads_and_binarizes_each_input_once(self, pipeline, tmp_path, calls):

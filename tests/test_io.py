@@ -1,10 +1,12 @@
 """Unit tests for file formats and synthetic data."""
 
+import io
 import struct
 
 import numpy as np
 import pytest
 
+import pqclust.io
 from pqclust import PQCodebook
 from pqclust.io import (
     CodesWriter,
@@ -111,6 +113,12 @@ class TestBvecs:
         with pytest.raises(ValueError, match="integers in"):
             write_bvecs(path, np.array([[256, 0]]))
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 0), (1, 2, 2)])
+    def test_write_rejects_a_wrong_shape(self, tmp_path, shape):
+        with pytest.raises(ValueError, match=r"vectors must have shape \(N, D\), D >= 1"):
+            write_bvecs(tmp_path / "x.bvecs", np.zeros(shape))
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCodes:
     def test_round_trip_and_header(self, tmp_path):
@@ -136,7 +144,7 @@ class TestCodes:
         path = tmp_path / "x.pqkc"
         with pytest.raises(ValueError, match="num_codewords"):
             write_codes(path, np.zeros((2, 2), dtype=np.uint8), 1)
-        with pytest.raises(ValueError, match="below L=4"):
+        with pytest.raises(ValueError, match=r"codes must lie in \[0, 4\), got 7"):
             write_codes(path, np.array([[0, 7]], dtype=np.uint8), 4)
         with pytest.raises(ValueError, match="shape"):
             write_codes(path, np.zeros(4, dtype=np.uint8), 4)
@@ -199,9 +207,9 @@ class TestCodes:
         with pytest.raises(ValueError, match="geometry"):
             CodesWriter(path, 4, 0, 8)
         writer = CodesWriter(path, 4, 2, 8)
-        with pytest.raises(ValueError, match=r"shape \(n, 2\)"):
+        with pytest.raises(ValueError, match=r"codes must have shape \(None, 2\), got \(1, 3\)"):
             writer.write(np.zeros((1, 3), dtype=np.uint8))
-        with pytest.raises(ValueError, match="below L=8"):
+        with pytest.raises(ValueError, match=r"codes must lie in \[0, 8\), got 9"):
             writer.write(np.array([[0, 9]], dtype=np.uint8))
         writer.write(np.zeros((2, 2), dtype=np.uint8))
         with pytest.raises(ValueError, match="header promised 4"):
@@ -222,6 +230,37 @@ class TestCodes:
             writer.close()
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("n", [-1, 2**64])
+    def test_codes_writer_rejects_a_record_count_outside_u64(self, tmp_path, n):
+        # The header's N is a u64; struct.pack used to raise struct.error,
+        # which is no ValueError, with the staged file already open.
+        message = rf"record count must lie in \[0, 2\*\*64\), got {n}"
+        with pytest.raises(ValueError, match=message):
+            CodesWriter(tmp_path / "x.pqkc", n, 2, 8)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_read_codes_parses_the_header_once(self, tmp_path, monkeypatch):
+        codes = np.arange(12, dtype=np.uint8).reshape(6, 2)
+        path = tmp_path / "codes.pqkc"
+        write_codes(path, codes, 16)
+        parses = []
+
+        def counted(p):
+            parses.append(p)
+            return read_codes_header(p)
+
+        monkeypatch.setattr(pqclust.io, "read_codes_header", counted)
+        back, m, l_count = read_codes(path)
+        assert (back.tobytes(), m, l_count) == (codes.tobytes(), 2, 16)
+        assert np.array_equal(np.concatenate(list(iter_codes(path, chunk_records=4))), codes)
+        assert parses == [path, path]
+
+    def test_short_stream_names_what_it_was_reading(self):
+        # A file that shrinks between the size check and the read.
+        out = np.empty(4, dtype="<u4")
+        with pytest.raises(FormatError, match=r"^x.bin: truncated labels \(6 of 16 bytes\)$"):
+            pqclust.io._read_into(io.BytesIO(b"\x01" * 6), out, "x.bin", "labels")
 
 
 class TestWholeFileReaders:
@@ -437,11 +476,12 @@ class TestLabels:
         path.write_bytes(b"\x00" * 6)
         with pytest.raises(FormatError, match="multiple of 4"):
             read_labels(path)
-        with pytest.raises(ValueError, match="1-d"):
+        with pytest.raises(ValueError, match=r"labels must have shape \(None,\), got \(2, 2\)"):
             write_labels(path, np.zeros((2, 2), dtype=np.uint32))
-        with pytest.raises(ValueError, match="uint32"):
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 4294967296\), got -1"):
             write_labels(path, np.array([-1]))
-        with pytest.raises(ValueError, match="uint32"):
+        too_big = r"labels must lie in \[0, 4294967296\), got 8589934592"
+        with pytest.raises(ValueError, match=too_big):
             write_labels(path, np.array([2**33]))
         with pytest.raises(ValueError, match="integers"):
             write_labels(path, np.array([1.7]))

@@ -392,7 +392,7 @@ class TestSymmetricDistance:
                 np.zeros((3, 2), dtype=np.uint8),
                 np.zeros((4, 2), dtype=np.uint8),
             )
-        with pytest.raises(ValueError, match="single codes"):
+        with pytest.raises(ValueError, match=r"a must have shape \(2,\), got \(1, 2\)"):
             symmetric_distance_sq(
                 tables,
                 np.zeros((1, 2), dtype=np.uint8),
