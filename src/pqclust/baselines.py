@@ -22,9 +22,9 @@ from functools import partial
 
 import numpy as np
 
-from .clustering import _first_centers, _sparse_update_all, _table_assign
+from .clustering import _first_centers, _sparse_update_all, _table_assign, _table_distances
 from .lloyd import _BLOCK_ELEMENTS, _CHUNK_ROWS, ClusteringResult, _assigned_sq_distances, _kmeans
-from .lloyd import _check_indices, _chunked_means, _joint_counts, _lloyd, _mean_of, _pairwise_sum
+from .lloyd import _check_indices, _chunked_means, _joint_counts, _lloyd, _pairwise_sum
 from .pq import DistanceTables, _check_finite
 
 _POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
@@ -54,9 +54,9 @@ def kmeans_fit(
 
     Runs on the package's one Lloyd driver. Its assignment is the blocked
     Euclidean scan that train_codebook and encode use too: a cache block
-    of rows at a time, keeping every point's squared distance to its
-    center, which is the objective and picks the repairs. No N × D array
-    is built.
+    of rows at a time, keeping only the labels. The objective and the
+    repairs recompute each point's squared distance to its center in one
+    pass, D multiply-adds per point. No N × D array is built.
 
     Args:
         vectors: Data of shape (N, D), stored as float32. Must be finite.
@@ -197,11 +197,6 @@ def hamming_to_centers(codes: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return _POPCOUNT[xor].sum(axis=2, dtype=np.int64)
 
 
-def _bkmeans_objectives(dists: np.ndarray) -> tuple[float, float]:
-    """Mean Hamming distance and mean squared Hamming distance."""
-    return float(np.mean(dists)), _mean_of(np.square, dists)
-
-
 def bkmeans_fit(
     codes: np.ndarray,
     k: int,
@@ -254,7 +249,8 @@ def bkmeans_fit(
     tables = DistanceTables(np.broadcast_to(hamming, (width, 256, 256)))
     return _lloyd(
         packed, centers, max_iterations, threads, partial(_table_assign, packed, tables),
-        partial(_sparse_update_all, tables=tables), _bkmeans_objectives,
+        partial(_sparse_update_all, tables=tables), partial(_table_distances, packed, tables),
+        False,
     )
 
 

@@ -21,8 +21,8 @@ from scipy import sparse
 
 # IterationStats is imported so that callers can still name it here.
 from .lloyd import _BLOCK_ELEMENTS, ClusteringResult, IterationStats, _check_indices
-from .lloyd import _joint_counts, _lloyd, _mean_of, _range_runner, _squared_objectives
-from .pq import DistanceTables, paired_distance_sq
+from .lloyd import _joint_counts, _lloyd, _mean_of, _range_runner
+from .pq import DistanceTables, _flat_offsets, _paired_distance_sq
 
 # Rows per selection group of the incremental assignment: each group picks
 # the rows it must scan, scans them in cache blocks, then merges them.
@@ -30,6 +30,10 @@ from .pq import DistanceTables, paired_distance_sq
 # it saves. 8192-row groups took 3-12% more time than these over a fit's
 # incremental iterations at K=64-1000 (2 vCPUs, 1 and 2 threads).
 _GROUP_ROWS = 16384
+
+# The top bit of a uint32 label: pass 1 of the incremental assignment marks
+# the rows that pass 2 rescans with it.
+_MARK = np.uint32(1 << 31)
 
 
 def build_histogram(subindices: np.ndarray, num_codewords: int) -> np.ndarray:
@@ -59,6 +63,12 @@ def update_center_naive(member_codes: np.ndarray, tables: DistanceTables) -> np.
     codes = _check_indices(member_codes, shape, bound, "member_codes")
     if len(codes) == 0:
         raise ValueError("cannot update a center from an empty cluster")
+    return _naive_vote(codes, tables)
+
+
+def _naive_vote(codes: np.ndarray, tables: DistanceTables) -> np.ndarray:
+    """update_center_naive of member codes already checked: per subspace,
+    the codeword whose summed table entries to the members are least."""
     center = np.empty(tables.num_subspaces, dtype=np.uint8)
     for m in range(tables.num_subspaces):
         costs = tables.tables[m][codes[:, m]].sum(axis=0)
@@ -134,18 +144,19 @@ def _center_columns(tables: DistanceTables, centers: np.ndarray) -> list[np.ndar
     ]
 
 
-def _scan(codes, columns, labels, dists, start, stop, scratch) -> None:
+def _scan(codes, columns, labels, dists, start, stop, scratch) -> int:
     """Nearest column for every code row of [start, stop), lowest index on
     ties.
 
     Writes the column index into labels and, when given, its squared
-    distance into dists. Each block sums the M gathers into the scratch
-    in subspace order, so a distance is bit-identical to
-    paired_distance_sq's for the same pair.
+    distance into dists, and returns the number of labels that changed.
+    Each block sums the M gathers into the scratch in subspace order, so a
+    distance is bit-identical to paired_distance_sq's for the same pair.
     """
     width = columns[0].shape[1]
     block = max(1, _BLOCK_ELEMENTS // width)
     acc_buf, tmp_buf = scratch
+    changes = 0
     for a in range(start, stop, block):
         b = min(a + block, stop)
         acc = acc_buf[: (b - a) * width].reshape(b - a, width)
@@ -156,89 +167,127 @@ def _scan(codes, columns, labels, dists, start, stop, scratch) -> None:
             np.take(columns[m], codes[a:b, m], axis=0, out=tmp, mode="clip")
             acc += tmp
         best = acc.argmin(axis=1)
+        changes += int(np.count_nonzero(best != labels[a:b]))
         labels[a:b] = best
         if dists is not None:
             dists[a:b] = acc[np.arange(b - a), best]
+    return changes
 
 
-def _merge(codes, columns, ids, pick, labels, dists, start, stop, scratch):
-    """Scan the rows of [start, stop) that pick(own, dist) selects from
-    each group's labels and distances, against columns whose column c is
-    center ids[c] (all centers when ids is None). A row moves to its best
-    center j there when (d_j, j) < (d_a, a) for its current center a and
-    kept distance d_a.
+def _table_distances(codes, tables, centers, labels):
+    """_lloyd's distances for codes against centers through the tables: a
+    function that writes each code row of [start, stop)'s squared distance
+    to its labeled center into out, bit-identical to the scan's, through
+    the float64 scratch."""
+    offsets = _flat_offsets(tables, centers)
 
-    Returns (labels changed, rows scanned).
+    def distances(start, stop, out, scratch):
+        _paired_distance_sq(tables, codes[start:stop], offsets, labels[start:stop], out, scratch)
+
+    return distances
+
+
+def _merge_moved(codes, tables, offsets, old_offsets, moved, moved_mask, columns,
+                 labels, start, stop, scratch) -> tuple[int, int]:
+    """Pass 1 of the incremental assignment over the rows of [start, stop),
+    one group at a time; columns are those of the moved centers, offsets
+    and old_offsets the _flat_offsets of the centers and of assigned_to.
+
+    For each row, u is its distance to its center a and, when a moved
+    (moved_mask[a]), d_old its distance to a's old code. The far rows,
+    whose center moved and whose u > d_old, get _MARK set in their label
+    for pass 2. Every other row moves to its best moved center j when
+    (d_j, j) < (u, a).
+
+    Returns (labels changed, far rows).
     """
-    changes = scanned = 0
+    changes = far_rows = 0
+    # The recomputes run in the scan's first scratch, free until the scan.
+    recompute = partial(_paired_distance_sq, tables, scratch=scratch[0])
     for g in range(start, stop, _GROUP_ROWS):
         h = min(g + _GROUP_ROWS, stop)
-        own, dist = labels[g:h], dists[g:h]
-        rows = np.flatnonzero(pick(own, dist))
-        if len(rows) == 0:
-            continue
-        best = np.empty(len(rows), dtype=labels.dtype)
-        best_dist = np.empty(len(rows))
-        _scan(codes[g:h][rows], columns, best, best_dist, 0, len(rows), scratch)
-        if ids is not None:
-            best = ids[best]
-        kept, kept_dist = own[rows], dist[rows]
-        wins = best_dist < kept_dist
-        wins |= (best_dist == kept_dist) & (best < kept)
-        scanned += len(rows)
-        rows, best = rows[wins], best[wins]
-        changes += int(np.count_nonzero(best != own[rows]))
-        own[rows] = best
-        dist[rows] = best_dist[wins]
-    return changes, scanned
+        group, own = codes[g:h], labels[g:h]
+        stale = np.flatnonzero(moved_mask[own])
+        u = recompute(group, offsets, own)
+        # take along axis 0 copies a code row at once; codes[rows] goes
+        # element by element and takes several times as long.
+        d_old = recompute(group.take(stale, axis=0), old_offsets, own[stale])
+        far = stale[u[stale] > d_old]
+        far_rows += len(far)
+        if len(far):
+            own[far] |= _MARK
+            rows = np.flatnonzero(own < _MARK)
+            group, kept, u = group.take(rows, axis=0), own[rows], u[rows]
+        else:
+            kept = own
+        best = np.empty(len(u), dtype=labels.dtype)
+        best_dist = np.empty(len(u))
+        _scan(group, columns, best, best_dist, 0, len(u), scratch)
+        best = moved.take(best)
+        wins = best_dist < u
+        wins |= (best_dist == u) & (best < kept)
+        changes += int(np.count_nonzero(wins))
+        kept[wins] = best[wins]
+        if len(far):
+            own[rows] = kept
+    return changes, far_rows
 
 
-def _keep_or_mark(moved_mask, own, dist):
-    """Pick the rows whose center kept its code; set the others' kept
-    distance to +inf, which every distance beats."""
-    lost = moved_mask[own]
-    dist[lost] = np.inf
-    return ~lost
+def _rescan_marked(codes, columns, labels, start, stop, scratch) -> int:
+    """Pass 2 of the incremental assignment: the rows of [start, stop) that
+    pass 1 marked get their nearest center among all columns, lowest index
+    on ties, and lose the mark. Returns the number of labels that changed."""
+    changes = 0
+    for g in range(start, stop, _GROUP_ROWS):
+        h = min(g + _GROUP_ROWS, stop)
+        own = labels[g:h]
+        rows = np.flatnonzero(own >= _MARK)
+        if len(rows):
+            kept = own[rows] ^ _MARK
+            marked = codes[g:h].take(rows, axis=0)
+            changes += _scan(marked, columns, kept, None, 0, len(rows), scratch)
+            own[rows] = kept
+    return changes
 
 
-def _marked(own, dist):
-    """Pick the rows that _keep_or_mark marked."""
-    return dist == np.inf
+def _table_assign(codes, tables, centers, assigned_to, moved, labels, run) -> tuple[int, int]:
+    """Assignment step of _lloyd through the lookup tables, holding no
+    distance between iterations.
 
+    The first call (moved is None), and any call after every center moved,
+    scans every row against every center. Otherwise the centers in `moved`
+    changed since assigned_to, the centers the labels were scanned against.
+    Pass 1 (_merge_moved) recomputes, per group, every row's distance u to
+    its center a and, for a moved a, its distance d_old to the old center,
+    both summed in subspace order, so their bits are the scan's.
 
-def _table_assign(codes, tables, centers, moved, labels, dists, run) -> tuple[int, int]:
-    """Assignment step of _lloyd through the lookup tables.
-
-    The first call (moved is None) scans every row against every center.
-    A later one updates labels and dists in place after the centers in
-    `moved`, a non-empty index array, changed. A row whose center kept its
-    code keeps its distance bit for bit, and so does every other unmoved
-    center j, which lost to the label before: d_j > d_a, or d_j == d_a with
-    j > a. Pass 1 therefore merges such a row with the moved centers alone,
-    and marks every other row +inf. Pass 2 merges the marked rows with all
-    centers; any finite distance beats +inf. The labels are then exactly
-    the full scan's, ties included.
+    An unmoved center j kept its distances, and it lost to the label
+    before: (d_j, j) > (d_old, a), with d_old = u when a did not move. When
+    u <= d_old, every unmoved j therefore still loses to (u, a), and only a
+    moved center can win: pass 1 merges such a row with the moved centers
+    alone. The other rows, whose center moved away from them (u > d_old),
+    pass 1 marks with the top bit of their uint32 label, free while K <=
+    2**31; pass 2 scans them against all centers, whose nearest is the
+    label (a is among them). The labels are then exactly the full scan's,
+    ties included. The moved centers' columns are dropped before the full
+    columns are built, so the two are never held together.
 
     Returns (labels changed, rows scanned against every center).
     """
-    if moved is None:
-        run(partial(_scan, codes, _center_columns(tables, centers), labels, dists))
-        return len(codes), len(codes)
+    if moved is None or len(moved) == len(centers) or len(centers) > _MARK:
+        changes = sum(run(partial(_scan, codes, _center_columns(tables, centers), labels, None)))
+        return (len(codes) if moved is None else changes), len(codes)
     moved_mask = np.zeros(len(centers), dtype=bool)
     moved_mask[moved] = True
-    # The moved centers' columns and the full columns are never held at
-    # the same time: each pass builds its own and drops it.
-    columns = _center_columns(tables, centers[moved])
-    pick = partial(_keep_or_mark, moved_mask)
-    results = run(partial(_merge, codes, columns, moved, pick, labels, dists))
-    del columns
+    offsets = _flat_offsets(tables, centers), _flat_offsets(tables, assigned_to)
+    merge = partial(_merge_moved, codes, tables, *offsets, moved, moved_mask)
+    results = run(partial(merge, _center_columns(tables, centers[moved]), labels))
     changes = sum(r[0] for r in results)
-    stale = len(codes) - sum(r[1] for r in results)
-    if stale:
-        columns = _center_columns(tables, centers)
-        results = run(partial(_merge, codes, columns, None, _marked, labels, dists))
-        changes += sum(r[0] for r in results)
-    return changes, stale
+    far = sum(r[1] for r in results)
+    if far:
+        rescan = partial(_rescan_marked, codes, _center_columns(tables, centers), labels)
+        changes += sum(run(rescan))
+    return changes, far
 
 
 def assign(
@@ -305,7 +354,7 @@ def _assigned_distance_sq(
     codes = _check_indices(codes, shape, bound, "codes")
     centers = _check_indices(centers, shape, bound, "centers")
     assignment = _check_indices(assignment, (len(codes),), len(centers), "assignment")
-    return paired_distance_sq(tables, codes, centers[assignment])
+    return _paired_distance_sq(tables, codes, _flat_offsets(tables, centers), assignment)
 
 
 def _sparse_update_all(
@@ -343,15 +392,16 @@ def _naive_update_all(
     codes: np.ndarray, labels: np.ndarray, k: int, tables: DistanceTables
 ) -> tuple[np.ndarray, np.ndarray, None]:
     """Candidate-scan center update for all clusters at once; returns the
-    centers and each cluster's member count."""
+    centers and each cluster's member count. fit checked the codes once, so
+    each cluster votes unchecked."""
     counts = np.bincount(labels, minlength=k)
     centers = np.zeros((k, tables.num_subspaces), dtype=np.uint8)
     order = np.argsort(labels, kind="stable")
     stops = np.cumsum(counts)
     starts = stops - counts
     for ki in np.flatnonzero(counts > 0):
-        members = codes[order[starts[ki] : stops[ki]]]
-        centers[ki] = update_center_naive(members, tables)
+        members = codes.take(order[starts[ki] : stops[ki]], axis=0)
+        centers[ki] = _naive_vote(members, tables)
     return centers, counts, None
 
 
@@ -376,13 +426,15 @@ def fit(
     trace. Deterministic for fixed inputs and seed, independent of the
     thread count.
 
-    The first assignment scans every point against every center. Each
-    later one keeps the labels and the squared distances to the assigned
-    centers. It compares the points whose center kept its code against the
-    moved centers alone, then the points whose center moved, marked with
-    distance +inf, against every center, by one merge rule; the labels are
-    exactly those of a full scan (see _table_assign). The kept distances
-    are the objective.
+    The first assignment scans every point against every center, and so
+    does one after every center moved. Each other one keeps only the
+    labels: it recomputes each point's distance to its center, and to the
+    old center when that moved, compares the points whose center moved
+    away from them against every center and all others against the moved
+    centers alone, by one merge rule; the labels are exactly those of a
+    full scan (see _table_assign). The fit holds the codes, the labels and
+    fixed-size scratch: one pass per iteration recomputes the distances
+    for the objective and the repair.
 
     Args:
         codes: uint8 codes, shape (N, M).
@@ -408,7 +460,7 @@ def fit(
     update_all = _sparse_update_all if update == "sparse" else _naive_update_all
     return _lloyd(
         codes, centers, max_iterations, threads, partial(_table_assign, codes, tables),
-        partial(update_all, tables=tables), _squared_objectives,
+        partial(update_all, tables=tables), partial(_table_distances, codes, tables), True,
     )
 
 
@@ -475,16 +527,20 @@ def estimate_working_set(
 
     * the codes, M bytes per point;
     * the uint32 labels, 4 bytes per point;
-    * dists, each point's float64 squared distance to its center, kept for
-      the whole run: 8 bytes per point;
     * two float64 scan blocks of max(2**16, K) elements per thread;
     * the float64 distance tables, M * L * L * 8 bytes, and the center
       columns the scan gathers from, M * L * K * 8 bytes.
 
-    Every other pass over the N points holds one fixed-size chunk of
-    scratch: the objective takes its square roots 2**16 at a time, and the
-    farthest-point repair keeps one chunk of candidates and at most K
-    indices. Pure arithmetic, no allocation.
+    No distance is kept between passes, so nothing else grows with N. The
+    assignment recomputes the distances it compares against one group of
+    rows at a time, in arrays of at most one group's rows per thread, and
+    marks the rows it rescans in their labels. The objective and the
+    farthest-point repair recompute every distance in one pass, one leaf
+    of 2**16 rows per thread, in the scan blocks, and keep at most K
+    candidate rows. The recomputes index the tables through the (K, M)
+    flat offsets of the centers and of the previous centers, M * K * 8
+    bytes each, 1/L of the center columns and not counted. The update
+    holds O(K * L). Pure arithmetic, no allocation.
     """
     if n < 0 or k < 0:
         raise ValueError(f"n and k must be non-negative, got n={n}, k={k}")
@@ -493,7 +549,7 @@ def estimate_working_set(
             f"need M >= 1, L >= 2 and threads >= 1, got M={num_subspaces}, "
             f"L={num_codewords}, threads={threads}"
         )
-    per_point = num_subspaces + 4 + 8
+    per_point = num_subspaces + 4
     scratch = 2 * 8 * max(_BLOCK_ELEMENTS, k) * max(1, min(threads, n))
     tables = 8 * num_subspaces * num_codewords * (num_codewords + k)
     return per_point * n + scratch + tables

@@ -65,14 +65,21 @@ class IterationStats:
     The objective is the mean non-squared distance of every point to its
     assigned center, measured right after the assignment step. The
     squared variant of the same quantity is kept alongside it. For
-    bkmeans_fit the distance is the Hamming distance.
+    bkmeans_fit the distance is the Hamming distance. assign_seconds times
+    the assignment step; update_seconds times the update, the pass that
+    recomputes the distances for the objectives and the repair, so the two
+    cover the iteration.
 
     label_changes counts the points whose label differs from the previous
     iteration's, moved_centers the centers whose code differs from the
     previous iteration's, and rescanned_points the points compared against
-    every center. The first iteration reports N, K and N. An iteration
-    that moved no center skips its assignment, reports 0, 0 and 0 and ends
-    the run. fit, kmeans_fit and bkmeans_fit fill all three.
+    every center: every point in a full scan, as in the first iteration
+    (N, K and N), kmeans_fit's and one after every center moved; in fit's
+    and bkmeans_fit's incremental assignment, the points whose center
+    moved and whose distance to it rose. An iteration that moved no center
+    skips its assignment, reports 0, 0 and 0 and ends the run with the
+    objectives of the iteration before. fit, kmeans_fit and bkmeans_fit
+    fill all three.
     """
 
     iteration: int
@@ -163,88 +170,156 @@ def _pairwise_sum(n: int, leaf, start: int = 0):
     return _pairwise_sum(half, leaf, start) + _pairwise_sum(n - half, leaf, start + half)
 
 
+def _leaves(n: int) -> list[tuple[int, int]]:
+    """The ranges [a, b) whose sums _pairwise_sum adds, in row order."""
+    leaves: list[tuple[int, int]] = []
+    _pairwise_sum(n, lambda a, b: leaves.append((a, b)) or 0.0)
+    return leaves
+
+
 def _mean_of(f, x: np.ndarray) -> float:
     """float(np.mean(f(x))) of a 1-d float64 x and an elementwise f, to the
     last bit, holding f of one leaf of _pairwise_sum at a time."""
     return float(_pairwise_sum(len(x), lambda a, b: np.add.reduce(f(x[a:b]))) / len(x))
 
 
-def _squared_objectives(dists: np.ndarray) -> tuple[float, float]:
-    """Mean distance and mean squared distance from squared distances."""
-    return _mean_of(np.sqrt, dists), float(np.mean(dists))
+def _measure(n: int, distances, squared: bool, e: int, run):
+    """One pass over the n distances that distances(a, b, out, scratch)
+    writes into out for the rows [a, b). Returns the trace's (objective,
+    objective_sq), the means of (sqrt(d), d) when squared, else of (d, d²),
+    and the rows of the e largest distances, largest first, lowest row on
+    ties.
 
-
-def _farthest(dists: np.ndarray, e: int) -> np.ndarray:
-    """Indices of the e largest dists, largest first, lowest index on ties:
-    the rows that e rounds of argmax, each setting its pick to -inf, visit.
-
-    Scans _CHUNK_ROWS rows at a time and holds the e best so far and one
-    chunk's candidates. Once e are held, a later row enters only by
-    exceeding the least of them, since it loses a tie on its index.
+    Each worker of run recomputes the leaves of _pairwise_sum that begin in
+    its range, one leaf at a time into its first scan block, with the
+    second as the recompute's scratch; it sums both values of each leaf and
+    keeps its e largest (see _farthest). The leaves' sums are added up
+    numpy's tree, so each mean equals np.mean over all n values to the last
+    bit, and the workers' picks merge in (distance, row) order: the thread
+    count changes no bit and no row.
     """
-    best = np.empty(0, dtype=np.intp)
-    for a in range(0, len(dists), _CHUNK_ROWS):
-        chunk = dists[a : a + _CHUNK_ROWS]
-        rows = np.flatnonzero(chunk > (dists[best[-1]] if len(best) == e else -np.inf))
-        if len(rows) > e:
-            values = chunk[rows]
-            rows = rows[values >= np.partition(values, len(rows) - e)[len(rows) - e]]
-        rows = np.concatenate([best, rows + a])
-        best = rows[np.lexsort((rows, -dists[rows]))[:e]]
-    return best
+
+    leaves = _leaves(n)
+
+    def task(start, stop, scratch):
+        sums, far = {}, (np.empty(0, dtype=np.intp), np.empty(0))
+        for a, b in leaves:
+            if start <= a < stop:
+                d = scratch[0][: b - a]
+                distances(a, b, d, scratch[1])
+                if e:
+                    far = _farthest(far, a, d, e)
+                plain = np.add.reduce(d)
+                other = np.sqrt(d, out=d) if squared else np.square(d, out=d)
+                sums[a] = plain, np.add.reduce(other)
+        return sums, far
+
+    parts = run(task)
+    sums = {a: pair for part, _ in parts for a, pair in part.items()}
+    plain = float(_pairwise_sum(n, lambda a, b: sums[a][0]) / n)
+    other = float(_pairwise_sum(n, lambda a, b: sums[a][1]) / n)
+    rows, values = (np.concatenate(arrays) for arrays in zip(*(far for _, far in parts)))
+    return ((other, plain) if squared else (plain, other)), _best(rows, values, e)[0]
 
 
-def _lloyd(codes, centers, max_iterations, threads, assign_step, update_all, objectives):
+def _farthest(best, a: int, chunk: np.ndarray, e: int) -> tuple[np.ndarray, np.ndarray]:
+    """The e largest of best's (rows, values) and of the float64 values of
+    chunk, whose first row is a and which follows every row of best: largest
+    first, lowest row on ties, the rows that e rounds of argmax, each
+    setting its pick to -inf, visit. Returns (rows, values).
+
+    Once e are held, a row of chunk enters only by exceeding the least of
+    them, since it loses a tie on its index. The order is total, so the e
+    best of a union are the e best of the parts' e best: chunks can be
+    taken one at a time, and ranges searched apart and merged.
+    """
+    rows, values = best
+    if len(rows) == e:
+        picks = np.flatnonzero(chunk > values[-1])
+        picks = picks[_top(chunk[picks], e)]
+    else:
+        picks = _top(chunk, e)
+    return _best(np.concatenate([rows, picks + a]), np.concatenate([values, chunk[picks]]), e)
+
+
+def _top(values: np.ndarray, e: int) -> np.ndarray:
+    """Indices of the e largest values, lowest index on ties, unordered:
+    those above the e-th largest, then its ties in index order. Holds no
+    more than one copy of values and one index per tie."""
+    if len(values) <= e:
+        return np.arange(len(values))
+    least = np.partition(values, len(values) - e)[len(values) - e]
+    above = np.flatnonzero(values > least)
+    return np.concatenate([above, np.flatnonzero(values == least)[: e - len(above)]])
+
+
+def _best(rows, values, e):
+    """The e rows of largest values, largest first, lowest row on ties."""
+    order = np.lexsort((rows, -values))[:e]
+    return rows[order], values[order]
+
+
+def _lloyd(codes, centers, max_iterations, threads, assign_step, update_all, distances, squared):
     """The Lloyd loop of every clusterer in the package, on validated points.
 
-    assign_step(centers, moved, labels, dists, run) writes each point's
-    nearest center and its distance to it, and returns (labels changed,
-    points rescanned). moved is None on the first call, which scans every
-    point, then the indices of the centers that changed; when none did, the
-    loop skips the step and stops, converged at a fixed point.
-    objectives(dists) gives the trace's (objective, objective_sq).
-    update_all(codes, labels, k) returns the new centers, each cluster's
-    member count and the mean histogram support, None for none. The empty
+    The loop holds the points, their labels and fixed-size scratch: no
+    N-sized float array. distances(centers, labels) returns a function of
+    (a, b, out, scratch) that writes the distance of each row of [a, b) to
+    its labeled center into out, with a float64 scratch buffer of the
+    runner's. After each update one pass of _measure, on the workers of
+    the range runner, recomputes every distance to the centers the
+    assignment used, for both the trace's objectives, the means of
+    (sqrt(d), d) when squared, else of (d, d²), and the repair: the empty
     clusters, in index order, are re-seeded on the rows of codes with the
-    largest kept distances to the centers they were assigned to, largest
-    first, lowest index on ties.
+    largest of those distances, largest first, lowest index on ties.
+
+    assign_step(centers, assigned_to, moved, labels, run) writes each
+    point's nearest center and returns (labels changed, points rescanned).
+    moved is None on the first call, which scans every point, then the
+    indices of the centers that differ from assigned_to, the centers the
+    labels were scanned against; when none do, the loop skips the step and
+    stops, converged at a fixed point, with the objectives of the iteration
+    before. update_all(codes, labels, k) returns the new centers, each
+    cluster's member count and the mean histogram support, None for none.
     """
     n, k = len(codes), len(centers)
     trace: list[IterationStats] = []
     labels = np.empty(n, dtype=np.uint32)
-    dists = np.empty(n, dtype=np.float64)
-    assigned_to = None  # the centers that labels and dists were scanned against
+    assigned_to = None  # the centers that labels were scanned against
     with _range_runner(threads, n, max(k, codes.shape[1])) as run:
         for iteration in range(1, max_iterations + 1):
             start = time.perf_counter()
             moved = None
             if assigned_to is not None:
                 moved = np.flatnonzero(np.any(centers != assigned_to, axis=1))
-            converged = moved is not None and not len(moved)
-            changes = rescanned = 0
-            if not converged:
-                changes, rescanned = assign_step(centers, moved, labels, dists, run)
+            if moved is not None and not len(moved):
+                # The labels and centers of the last entry: its objectives.
+                last = trace[-1]
+                stats = IterationStats(
+                    iteration, last.objective, last.objective_sq,
+                    time.perf_counter() - start, 0.0,
+                )
+                trace.append(stats)
+                return ClusteringResult(centers, labels, trace, len(trace), True)
+            changes, rescanned = assign_step(centers, assigned_to, moved, labels, run)
             assigned_to = centers
             assign_seconds = time.perf_counter() - start
 
-            objective, objective_sq = objectives(dists)
-            stats = IterationStats(
-                iteration, objective, objective_sq, assign_seconds, 0.0,
+            start = time.perf_counter()
+            centers, counts, nnz = update_all(codes, labels, k)
+            empty = np.flatnonzero(counts == 0)
+            measure = distances(assigned_to, labels)
+            objectives, far = _measure(n, measure, squared, len(empty), run)
+            centers[empty] = codes[far]
+            update_seconds = time.perf_counter() - start
+            trace.append(IterationStats(
+                iteration, *objectives, assign_seconds, update_seconds,
+                repaired_clusters=len(empty),
+                mean_histogram_nnz=nnz,
                 label_changes=changes,
                 moved_centers=k if moved is None else len(moved),
                 rescanned_points=rescanned,
-            )
-            trace.append(stats)
-            if converged:
-                return ClusteringResult(centers, labels, trace, len(trace), True)
-
-            start = time.perf_counter()
-            centers, counts, stats.mean_histogram_nnz = update_all(codes, labels, k)
-            empty = np.flatnonzero(counts == 0)
-            if len(empty):
-                centers[empty] = codes[_farthest(dists, len(empty))]
-            stats.update_seconds = time.perf_counter() - start
-            stats.repaired_clusters = len(empty)
+            ))
     return ClusteringResult(centers, labels, trace, len(trace), False)
 
 
@@ -328,12 +403,11 @@ def _assigned_sq_distances(points, centers, labels, scratch, out) -> None:
     np.add.reduce(diff, axis=1, out=out)
 
 
-def _nearest_center_range(points, centers, labels, dists, start, stop, scratch) -> int:
+def _nearest_center_range(points, centers, labels, start, stop, scratch) -> int:
     """Nearest center of the float32 rows of [start, stop) by squared
     Euclidean distance, lowest index on ties, one cache block of the
-    runner's scratch at a time. Writes labels and, when given, the squared
-    distances by _assigned_sq_distances; returns the number of labels that
-    changed.
+    runner's scratch at a time. Writes labels and returns the number of
+    labels that changed.
 
     The labels are those of a float64 cdist and argmin. A float32 GEMM
     ranks the centers: each row x gains a constant 1, each center c_k
@@ -362,9 +436,8 @@ def _nearest_center_range(points, centers, labels, dists, start, stop, scratch) 
     when C² does.
 
     A block holds its float32 ranking in the first float64 scratch, at
-    twice the rows a float64 block would. Its augmented float32 rows
-    [x, 1], D + 1 float32 values against the D float64 of its differences,
-    fit in the second, until those differences overwrite them.
+    twice the rows a float64 block would, and its augmented float32 rows
+    [x, 1] in the second.
     Each GEMM is a slab of at most _GEMM_MULADDS multiply-adds.
     """
     k, dim = centers.shape
@@ -421,23 +494,37 @@ def _nearest_center_range(points, centers, labels, dists, start, stop, scratch) 
                 best[recheck] = cdist(x[recheck], centers, "sqeuclidean").argmin(axis=1)
             changes += int(np.count_nonzero(best != labels[a:b]))
             labels[a:b] = best
-            if dists is not None:
-                _assigned_sq_distances(x, centers, best, scratch[1], dists[a:b])
     return changes
 
 
 def _kmeans(points, centers, max_iterations, threads) -> ClusteringResult:
     """Euclidean k-means by _lloyd on float32 points from float64 centers:
     every point is scanned against every center, and the update takes the
-    cluster means."""
+    cluster means.
 
-    def assign_step(centers, moved, labels, dists, run):
-        changes = sum(run(partial(_nearest_center_range, points, centers, labels, dists)))
+    The scan keeps no distance: _lloyd's objective and repair recompute
+    them with _assigned_sq_distances, D multiply-adds per point, the same
+    work the scan would do to keep them, and the same bits.
+    """
+
+    def assign_step(centers, assigned_to, moved, labels, run):
+        changes = sum(run(partial(_nearest_center_range, points, centers, labels)))
         return (len(points) if moved is None else changes), len(points)
 
     def update_all(points, labels, k):
         return *_chunked_means([(points, labels)], k, points.shape[1]), None
 
+    def distances(centers, labels):
+        def write(start, stop, out, scratch):
+            block = len(scratch) // max(1, points.shape[1])
+            for a in range(start, stop, block):
+                b = min(a + block, stop)
+                _assigned_sq_distances(
+                    points[a:b], centers, labels[a:b], scratch, out[a - start : b - start]
+                )
+
+        return write
+
     return _lloyd(
-        points, centers, max_iterations, threads, assign_step, update_all, _squared_objectives
+        points, centers, max_iterations, threads, assign_step, update_all, distances, True
     )

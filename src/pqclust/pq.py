@@ -20,6 +20,11 @@ from .lloyd import _check_indices, _kmeans, _nearest_center_range, _range_runner
 
 MAX_CODEWORDS = 256
 
+# Rows per chunk of _paired_distance_sq without scratch of the caller's: at
+# M=4 its index and its gathered table entries take 256 KiB each. 2**14
+# rows, 1 MiB in all, ran 1.5-2x slower on one thread, as did 2**16.
+_PAIRED_ROWS = 1 << 13
+
 
 @dataclass(frozen=True)
 class PQCodebook:
@@ -201,7 +206,7 @@ def encode(codebook: PQCodebook, vectors: np.ndarray, *, threads: int = 1) -> np
         for m in range(codebook.num_subspaces):
             sub = arr[:, m * sub_dim : (m + 1) * sub_dim]
             codewords = codebook.codewords[m].astype(np.float64)
-            run(partial(_nearest_center_range, sub, codewords, codes[:, m], None))
+            run(partial(_nearest_center_range, sub, codewords, codes[:, m]))
     return codes[0] if single else codes
 
 
@@ -256,10 +261,63 @@ def paired_distance_sq(tables: DistanceTables, a: np.ndarray, b: np.ndarray) -> 
     """
     a = _check_indices(a, (None, tables.num_subspaces), tables.num_codewords, "a")
     b = _check_indices(b, a.shape, tables.num_codewords, "b")
-    acc = np.zeros(len(a), dtype=np.float64)
-    for m in range(tables.num_subspaces):
-        acc += tables.tables[m][a[:, m], b[:, m]]
-    return acc
+    return _paired_distance_sq(tables, a, _flat_offsets(tables, b))
+
+
+def _flat_offsets(tables: DistanceTables, centers: np.ndarray) -> np.ndarray:
+    """The (K, M) intp offsets of checked codes into the flattened tables:
+    entry (k, m) is m·L·L + centers[k, m]·L. The tables are symmetric, so
+    a code x's entry to center k in subspace m sits at flat index
+    offsets[k, m] + x[m]. Built once per centers array, and M·K·8 bytes."""
+    l_count = tables.num_codewords
+    offsets = np.multiply(centers, np.intp(l_count), dtype=np.intp)
+    offsets += np.arange(0, offsets.shape[1] * l_count * l_count, l_count * l_count)
+    return offsets
+
+
+def _paired_distance_sq(
+    tables: DistanceTables, a: np.ndarray, offsets: np.ndarray, rows=None, out=None, scratch=None
+) -> np.ndarray:
+    """paired_distance_sq of codes already checked against the tables: (N, M)
+    codes a against the centers whose _flat_offsets are offsets, row n of a
+    against row rows[n] of offsets, or row n when rows is None. Writes into
+    out when given, else into a new array, and returns it.
+
+    Entry n is the table entry of subspace 0 plus those of the later
+    subspaces, added in subspace order: the sum, bit for bit, that
+    clustering's scan forms for the pair. Every distance the package
+    recomputes for a code and a center comes from here. Rows are taken a
+    chunk at a time, each with one (chunk, M) index array and one gather of
+    its table entries for all subspaces. Both live in the float64 scratch
+    when given, which sets the chunk to len(scratch) // 2M rows, else in a
+    buffer of _PAIRED_ROWS rows made here.
+    """
+    m_count = tables.num_subspaces
+    n = len(a)
+    flat = tables.tables.reshape(-1)
+    if out is None:
+        out = np.empty(n)
+    if scratch is None or len(scratch) < 2 * m_count:
+        scratch = np.empty(2 * m_count * max(1, min(n, _PAIRED_ROWS)))
+    chunk = len(scratch) // (2 * m_count)
+    index_buf = scratch[: m_count * chunk].view(np.intp)
+    values_buf = scratch[m_count * chunk : 2 * m_count * chunk]
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        index = index_buf[: m_count * (stop - start)].reshape(-1, m_count)
+        if rows is None:
+            index[:] = offsets[start:stop]
+        else:
+            # mode="clip" gathers straight into out; the rows are checked.
+            np.take(offsets, rows[start:stop], axis=0, out=index, mode="clip")
+        np.add(index, a[start:stop], out=index, casting="unsafe")
+        values = values_buf[: m_count * (stop - start)].reshape(-1, m_count)
+        np.take(flat, index, out=values, mode="clip")
+        acc = out[start:stop]
+        acc[:] = values[:, 0]  # the sum starts at subspace 0's entry
+        for m in range(1, m_count):
+            acc += values[:, m]
+    return out
 
 
 def symmetric_distance_sq(tables: DistanceTables, a: np.ndarray, b: np.ndarray) -> float:
@@ -280,4 +338,4 @@ def symmetric_distance_sq(tables: DistanceTables, a: np.ndarray, b: np.ndarray) 
     """
     shape, bound = (tables.num_subspaces,), tables.num_codewords
     a, b = _check_indices(a, shape, bound, "a"), _check_indices(b, shape, bound, "b")
-    return float(paired_distance_sq(tables, a[None, :], b[None, :])[0])
+    return float(_paired_distance_sq(tables, a[None, :], _flat_offsets(tables, b[None, :]))[0])

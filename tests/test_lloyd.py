@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pqclust import assign, bkmeans_fit, encode, fit, kmeans_fit, train_codebook
-from pqclust.lloyd import _CHUNK_ROWS, _farthest, _mean_of, _pairwise_sum
+from pqclust.lloyd import _CHUNK_ROWS, _farthest, _leaves, _mean_of, _measure, _range_runner
 from pqclust.pq import DistanceTables, PQCodebook
 
 # Sizes around numpy's own 8-wide and 128-long blocks, around one leaf, and
@@ -19,12 +19,6 @@ def _spread(rng, n):
     """Positive values from 1e-12 to 1e12: their float64 sum depends on the
     order in which they are added."""
     return 10.0 ** rng.uniform(-12, 12, size=n)
-
-
-def _leaves(n):
-    leaves = []
-    _pairwise_sum(n, lambda a, b: leaves.append((a, b)) or 0.0)
-    return leaves
 
 
 class TestPairwiseSum:
@@ -62,6 +56,14 @@ class TestPairwiseSum:
         assert _mean_of(np.sqrt, x) == float(np.mean(np.sqrt(x)))
 
 
+def _farthest_rows(dists, e, rows=_CHUNK_ROWS):
+    """The repair's picks over dists, taken as consecutive chunks of rows."""
+    best = (np.empty(0, dtype=np.intp), np.empty(0))
+    for a in range(0, len(dists), rows):
+        best = _farthest(best, a, dists[a : a + rows], e)
+    return best[0].tolist()
+
+
 def _argmax_loop(dists, e):
     """The repair's reference: e rounds of argmax, each pick set to -inf."""
     own = dists.copy()
@@ -88,21 +90,51 @@ class TestFarthest:
             dists[edge - 2 : edge + 2] = 9.0
         for e in (1, 2, 3, 40, 300):
             e = min(e, n)
-            assert _farthest(dists, e).tolist() == _argmax_loop(dists, e), e
+            assert _farthest_rows(dists, e) == _argmax_loop(dists, e), e
+        # The picks do not depend on how the values are chunked.
+        assert _farthest_rows(dists, 40, 1000) == _argmax_loop(dists, min(40, n))
 
     def test_matches_the_argmax_loop_on_distinct_values(self):
         rng = np.random.default_rng(42)
         for n in rng.integers(1, 3 * _CHUNK_ROWS, size=20):
             dists = rng.random(int(n))
             e = int(rng.integers(1, min(n, 64) + 1))
-            assert _farthest(dists, e).tolist() == _argmax_loop(dists, e), (n, e)
+            assert _farthest_rows(dists, e) == _argmax_loop(dists, e), (n, e)
 
     def test_later_rows_equal_to_the_least_held_lose(self):
         # Chunk 0 fills the e picks with 1.0; every later 1.0 ties them and
         # loses on its index, and one later 2.0 displaces the last pick.
         dists = np.ones(2 * _CHUNK_ROWS + 7)
         dists[_CHUNK_ROWS + 5] = 2.0
-        assert _farthest(dists, 3).tolist() == [_CHUNK_ROWS + 5, 0, 1]
+        assert _farthest_rows(dists, 3) == [_CHUNK_ROWS + 5, 0, 1]
+
+
+class TestMeasure:
+    @pytest.mark.parametrize("threads", [1, 2, 3, 8])
+    def test_one_pass_gives_numpy_means_and_the_argmax_picks(self, threads):
+        # Ranges of n / threads rows cut through leaves; each leaf is summed
+        # by the worker whose range holds its first row, so threads change
+        # neither the means' bits nor the picks. Repeated values put ties
+        # across leaves and ranges.
+        rng = np.random.default_rng(threads)
+        n = 3 * _CHUNK_ROWS + 11
+        dists = _spread(rng, n)
+        dists[rng.integers(0, n, size=50)] = dists.max()
+
+        def distances(a, b, out, scratch):
+            out[:] = dists[a:b]
+
+        for squared in (True, False):
+            with _range_runner(threads, n, 1) as run:
+                (objective, objective_sq), far = _measure(n, distances, squared, 40, run)
+            if squared:
+                expected = (float(np.mean(np.sqrt(dists))), float(np.mean(dists)))
+            else:
+                expected = (float(np.mean(dists)), float(np.mean(np.square(dists))))
+            assert (objective, objective_sq) == expected
+            assert far.tolist() == _argmax_loop(dists, 40)
+            with _range_runner(threads, n, 1) as run:
+                assert len(_measure(n, distances, squared, 0, run)[1]) == 0
 
 
 _VECTORS = np.random.default_rng(50).normal(size=(40, 4)).astype(np.float32)

@@ -14,7 +14,7 @@ from pqclust import (
     symmetric_distance_sq,
     train_codebook,
 )
-from pqclust import lloyd
+from pqclust import lloyd, pq
 from pqclust.io import generate_synthetic
 from pqclust.lloyd import _BLOCK_ELEMENTS
 
@@ -362,6 +362,28 @@ class TestSymmetricDistance:
             for m in range(4):
                 acc += float(tables.tables[m][a[i, m], b[i, m]])
             assert got[i] == acc
+
+    def test_chunks_and_row_picks_keep_the_bits(self):
+        # Across the kernel's chunk edges, codes paired with gathered rows
+        # and with the rows picked by index give the scan's subspace-order
+        # sum, for any integer dtype of the codes and any chunk size.
+        book = random_codebook(3, 16, 2, seed=23)
+        tables = build_distance_tables(book)
+        rng = np.random.default_rng(24)
+        n = 2 * pq._PAIRED_ROWS + 5
+        a = rng.integers(0, 16, size=(n, 3), dtype=np.uint8)
+        centers = rng.integers(0, 16, size=(7, 3), dtype=np.uint8)
+        rows = rng.integers(0, 7, size=n).astype(np.uint32)
+        expected = tables.tables[0][a[:, 0], centers[rows, 0]]
+        for m in (1, 2):
+            expected = expected + tables.tables[m][a[:, m], centers[rows, m]]
+        assert paired_distance_sq(tables, a, centers[rows]).tobytes() == expected.tobytes()
+        offsets = pq._flat_offsets(tables, centers)
+        picked = pq._paired_distance_sq(tables, a.astype(np.uint64), offsets, rows)
+        assert picked.tobytes() == expected.tobytes()
+        # A caller's scratch of 2·M·7 values sets chunks of 7 rows.
+        small = pq._paired_distance_sq(tables, a, offsets, rows, scratch=np.empty(2 * 3 * 7))
+        assert small.tobytes() == expected.tobytes()
 
     def test_symmetric_distance_properties(self):
         book = random_codebook(2, 8, 3, seed=19)
