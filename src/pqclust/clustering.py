@@ -35,6 +35,15 @@ _GROUP_ROWS = 16384
 # the rows that pass 2 rescans with it.
 _MARK = np.uint32(1 << 31)
 
+# An incremental step after more than this share of the centers moved is a
+# full scan instead: the two passes then scan nearly every column for most
+# rows and add the recomputes, selections and merges on top. Two passes
+# over a full scan, on one thread from a real first Lloyd step: 1.30, 1.21,
+# 1.25, 1.11, 1.07 and 0.97 with 4, 8, 16, 24, 32 and 48 of K=100 centers
+# kept, 0.81 with 64 kept (500k codes); 0.78-0.84 with 343 of K=1000 kept
+# (200k codes).
+_FULL_SCAN_MOVED = 3 / 4
+
 
 def build_histogram(subindices: np.ndarray, num_codewords: int) -> np.ndarray:
     """Tally subindices of one cluster's members into L bins.
@@ -254,9 +263,10 @@ def _table_assign(codes, tables, centers, assigned_to, moved, labels, run) -> tu
     """Assignment step of _lloyd through the lookup tables, holding no
     distance between iterations.
 
-    The first call (moved is None), and any call after every center moved,
-    scans every row against every center. Otherwise the centers in `moved`
-    changed since assigned_to, the centers the labels were scanned against.
+    The first call (moved is None), and any call after more than
+    _FULL_SCAN_MOVED of the centers moved, scans every row against every
+    center. Otherwise the centers in `moved` changed since assigned_to,
+    the centers the labels were scanned against.
     Pass 1 (_merge_moved) recomputes, per group, every row's distance u to
     its center a and, for a moved a, its distance d_old to the old center,
     both summed in subspace order, so their bits are the scan's.
@@ -274,7 +284,8 @@ def _table_assign(codes, tables, centers, assigned_to, moved, labels, run) -> tu
 
     Returns (labels changed, rows scanned against every center).
     """
-    if moved is None or len(moved) == len(centers) or len(centers) > _MARK:
+    full = moved is None or len(moved) > _FULL_SCAN_MOVED * len(centers)
+    if full or len(centers) > _MARK:
         changes = sum(run(partial(_scan, codes, _center_columns(tables, centers), labels, None)))
         return (len(codes) if moved is None else changes), len(codes)
     moved_mask = np.zeros(len(centers), dtype=bool)
@@ -427,14 +438,14 @@ def fit(
     thread count.
 
     The first assignment scans every point against every center, and so
-    does one after every center moved. Each other one keeps only the
-    labels: it recomputes each point's distance to its center, and to the
-    old center when that moved, compares the points whose center moved
-    away from them against every center and all others against the moved
-    centers alone, by one merge rule; the labels are exactly those of a
-    full scan (see _table_assign). The fit holds the codes, the labels and
-    fixed-size scratch: one pass per iteration recomputes the distances
-    for the objective and the repair.
+    does one after more than 3/4 of the centers moved. Each other one
+    keeps only the labels: it recomputes each point's distance to its
+    center, and to the old center when that moved, compares the points
+    whose center moved away from them against every center and all others
+    against the moved centers alone, by one merge rule; the labels are
+    exactly those of a full scan (see _table_assign). The fit holds the
+    codes, the labels and fixed-size scratch: one pass per iteration
+    recomputes the distances for the objective and the repair.
 
     Args:
         codes: uint8 codes, shape (N, M).

@@ -74,12 +74,12 @@ class IterationStats:
     iteration's, moved_centers the centers whose code differs from the
     previous iteration's, and rescanned_points the points compared against
     every center: every point in a full scan, as in the first iteration
-    (N, K and N), kmeans_fit's and one after every center moved; in fit's
-    and bkmeans_fit's incremental assignment, the points whose center
-    moved and whose distance to it rose. An iteration that moved no center
-    skips its assignment, reports 0, 0 and 0 and ends the run with the
-    objectives of the iteration before. fit, kmeans_fit and bkmeans_fit
-    fill all three.
+    (N, K and N), in every kmeans_fit iteration and in fit's and
+    bkmeans_fit's after more than 3/4 of the centers moved; in their
+    incremental assignment, the points whose center moved and whose
+    distance to it rose. An iteration that moved no center skips its
+    assignment, reports 0, 0 and 0 and ends the run with the objectives of
+    the iteration before. fit, kmeans_fit and bkmeans_fit fill all three.
     """
 
     iteration: int

@@ -26,8 +26,8 @@ from pqclust import (
     update_center_sparse,
 )
 import pqclust
-from pqclust.clustering import _sparse_update_all, _vote
-from pqclust.lloyd import _CHUNK_ROWS, _joint_counts, _joint_dtype
+from pqclust.clustering import _FULL_SCAN_MOVED, _sparse_update_all, _table_assign, _vote
+from pqclust.lloyd import _CHUNK_ROWS, _joint_counts, _joint_dtype, _range_runner
 
 
 def random_tables(m, l_count, seed=0, sub_dim=2):
@@ -46,10 +46,11 @@ def lattice_tables(m, l_count):
 def incremental_ties(codes, tables, before, after, labels):
     """The exact ties that an incremental assignment from the centers
     `before` (with their labels) to the centers `after` meets, in an
-    iteration where some but not all centers moved."""
+    iteration that takes the two passes: some centers moved, but no more
+    than _FULL_SCAN_MOVED of them."""
     d = sum(tables.tables[m][codes[:, m]][:, after[:, m]] for m in range(codes.shape[1]))
     moved = np.any(before != after, axis=1)
-    if not 0 < moved.sum() < len(after):
+    if not 0 < moved.sum() <= _FULL_SCAN_MOVED * len(after):
         return set()
     stale = moved[labels]
     own = d[np.arange(len(codes)), labels]
@@ -443,6 +444,32 @@ class TestFit:
         assert np.array_equal(result.labels, [0, 0, 0, 1, 1, 1, 1])
         assert np.array_equal(result.centers, [[2], [8]])
 
+    @pytest.mark.parametrize("k, moves", [(4, 1), (4, 3), (5, 4), (4, 4)])
+    def test_a_step_past_the_moved_share_is_a_full_scan(self, k, moves):
+        # Up to _FULL_SCAN_MOVED of the centers moved (1 or 3 of 4) take the
+        # two passes, which rescan the rows whose center moved away from
+        # them; more (4 of 5, 4 of 4) is a full scan of every row. Either
+        # way the labels are the full assignment's.
+        rng = np.random.default_rng(46)
+        tables = random_tables(2, 16, seed=47)
+        codes = rng.integers(0, 16, size=(3000, 2), dtype=np.uint8)
+        before = codes[:k].copy()
+        after = before.copy()
+        after[:moves] = codes[100 : 100 + moves]
+        labels = assign(codes, before, tables).astype(np.uint32)
+        moved = np.flatnonzero(np.any(after != before, axis=1))
+        assert len(moved) == moves
+        d_new = paired_distance_sq(tables, codes, after[labels])
+        d_old = paired_distance_sq(tables, codes, before[labels])
+        far = int(np.sum(np.isin(labels, moved) & (d_new > d_old)))
+        with _range_runner(1, len(codes), k) as run:
+            _, rescanned = _table_assign(codes, tables, after, before, moved, labels, run)
+        full = len(moved) > _FULL_SCAN_MOVED * k
+        assert full == (4 * moves > 3 * k)
+        assert rescanned == (len(codes) if full else far)
+        assert 0 < far < len(codes)
+        assert labels.tobytes() == assign(codes, after, tables).astype(np.uint32).tobytes()
+
     def test_moved_center_row_at_equal_distance_keeps_its_label(self):
         # Codes on a 2-d lattice. Iteration 1 ties (5, 5) between center 0
         # at (4, 5) and center 1 at (5, 6), and gives it to 0 with (5, 3)
@@ -494,7 +521,7 @@ class TestFit:
         # checked against the full assignment, the repair picks (the rows
         # farthest from the centers they were assigned to, lowest row on
         # ties) and the rescanned rows (moved center and distance risen, or
-        # every row once every center moved).
+        # every row once more than _FULL_SCAN_MOVED of the centers moved).
         rng = np.random.default_rng(44)
         tables = random_tables(4, 16, seed=45)
         codes = rng.integers(0, values, size=(150_000, 4), dtype=np.uint8)
@@ -511,7 +538,8 @@ class TestFit:
                 risen = paired_distance_sq(tables, codes, used[labels]) > paired_distance_sq(
                     tables, codes, previous[labels]
                 )
-                expected = len(codes) if moved.all() else int(np.sum(stale & risen))
+                full = moved.sum() > _FULL_SCAN_MOVED * k
+                expected = len(codes) if full else int(np.sum(stale & risen))
                 assert stats.rescanned_points == expected
                 rescans += expected
             if capped.converged:
@@ -586,7 +614,7 @@ class TestFit:
         elif case == "no_moves":
             assert moved == [3, 0]
         else:
-            assert any(0 < m < k for m in moved)
+            assert any(0 < m <= _FULL_SCAN_MOVED * k for m in moved)
 
         used = init_centers(codes, k, 3) if initial is None else initial
         ties = set()
