@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -43,6 +43,11 @@ _MARK = np.uint32(1 << 31)
 # kept, 0.81 with 64 kept (500k codes); 0.78-0.84 with 343 of K=1000 kept
 # (200k codes).
 _FULL_SCAN_MOVED = 3 / 4
+
+# Columns from which a scan on float tables ranks in float32 (_Columns):
+# below it the certificate and the float64 recomputes cost more than the
+# narrower gathers save.
+_FLOAT32_COLUMNS = 256
 
 
 def build_histogram(subindices: np.ndarray, num_codewords: int) -> np.ndarray:
@@ -145,42 +150,144 @@ def _first_centers(points, k, max_iterations, seed, initial_centers) -> np.ndarr
     return centers
 
 
-def _center_columns(tables: DistanceTables, centers: np.ndarray) -> list[np.ndarray]:
-    """(L, C) table slice per subspace; a scan then only gathers rows."""
-    return [
-        np.ascontiguousarray(tables.tables[m][:, centers[:, m]])
-        for m in range(tables.num_subspaces)
-    ]
+class _Columns(NamedTuple):
+    """The center columns a scan ranks with: gathers holds the (L, C)
+    table slice per subspace, float64 or float32, and tables the float64
+    tables. offsets, the centers' _flat_offsets, and slack, the
+    certificate's (A, B), are set when float32 sums need a certificate,
+    else None: uncertified rows are rechecked through them."""
+
+    gathers: list
+    tables: DistanceTables
+    offsets: np.ndarray | None = None
+    slack: tuple[float, float] | None = None
 
 
-def _scan(codes, columns, labels, dists, start, stop, scratch) -> int:
+def _center_columns(tables: DistanceTables, centers: np.ndarray) -> _Columns:
+    """The columns of a scan over centers; a scan then only gathers rows.
+
+    Tables whose float32 sums are exact (as Bk-means' popcount tables are)
+    give float32 columns at every width, with no certificate. Other tables
+    give float32 columns with a certificate from _FLOAT32_COLUMNS columns
+    up, unless their float32 sums could overflow, and float64 columns
+    below that. A column is a table row (the tables are symmetric), cast
+    _BLOCK_ELEMENTS // L rows at a time, so no float64 copy of the float32
+    columns is made.
+    """
+    finite, exact = tables._float32_sums
+    ranked = finite and (exact or len(centers) >= _FLOAT32_COLUMNS)
+    l_count, width = tables.num_codewords, len(centers)
+    chunk = max(1, _BLOCK_ELEMENTS // l_count)
+    gathers = []
+    for m, table in enumerate(tables.tables):
+        column = np.empty((l_count, width), dtype=np.float32 if ranked else np.float64)
+        for a in range(0, width, chunk):
+            column[:, a : a + chunk] = table[centers[a : a + chunk, m]].T
+        gathers.append(column)
+    if not ranked or exact:
+        return _Columns(gathers, tables)
+    return _Columns(gathers, tables, _flat_offsets(tables, centers), _slack(tables.num_subspaces))
+
+
+def _slack(m_count: int) -> tuple[float, float]:
+    """(A, B) of the float32 scan's certificate over M subspaces.
+
+    Each table entry t rounds to f = fl32(t) with |f - t| <= u·t + ε, where
+    u = 2⁻²⁴ and ε = 2⁻¹⁵⁰ covers a subnormal or zero f. The float32 sum S
+    of the M entries in subspace order takes M - 1 float32 adds of
+    non-negative terms, so |S - Σf| <= g·Σf with g = γ₃₂(M - 1) and
+    γ(n) = n·u / (1 - n·u); an add whose sum is subnormal is exact. The
+    float64 sum D of the scan's float64 path, in the same order, has
+    |D - Σt| <= h·Σt with h = γ₆₄(M - 1). From Σf <= S / (1 - g) and
+    Σt <= (Σf + Mε) / (1 - u),
+
+        |S - D| <= a·S + b,  a = (g + (u + h) / (1 - u)) / (1 - g),
+                             b = Mε·(1 + (u + h) / (1 - u)).
+
+    Let w be a row's float32 argmin, low its sum and r the least sum of
+    the other columns. When (1 - a)·r - (1 + a)·low > 2b, every other
+    column's float64 sum exceeds w's, so w is the float64 scan's label,
+    ties included. The test is taken in float64 as
+    fl(fl(P·r) - fl(Q·low)) > B with P = fl(1 - A), Q = fl(1 + A),
+    A = a + 2⁻⁴⁹ and B = 4b: the 2⁻⁴⁹, sixteen float64 units, covers the
+    rounding of P, Q, the two products, the difference and of a itself,
+    and B's factor 2 the rounding of the difference against B. Columns
+    outside the test can be excluded one by one the same way.
+    """
+    u, e = 2.0**-24, 2.0**-150
+    g = (m_count - 1) * u / (1 - (m_count - 1) * u)
+    h = (m_count - 1) * 2.0**-53 / (1 - (m_count - 1) * 2.0**-53)
+    a = (g + (u + h) / (1 - u)) / (1 - g)
+    b = m_count * e * (1 + (u + h) / (1 - u))
+    return a + 2.0**-49, 4 * b
+
+
+def _scan(codes, columns: _Columns, labels, dists, start, stop, scratch) -> int:
     """Nearest column for every code row of [start, stop), lowest index on
-    ties.
+    ties: the label of a float64 scan, whatever the columns' dtype.
 
     Writes the column index into labels and, when given, its squared
     distance into dists, and returns the number of labels that changed.
     Each block sums the M gathers into the scratch in subspace order, so a
-    distance is bit-identical to paired_distance_sq's for the same pair.
+    float64 distance is bit-identical to paired_distance_sq's for the same
+    pair. Float32 columns fill the same scratch bytes at twice the rows per
+    block. On exact tables their sums are the float64 sums; otherwise
+    _recheck settles the rows that the certificate leaves in doubt, and
+    dists, which would hold float32 sums, must be None.
     """
-    width = columns[0].shape[1]
-    block = max(1, _BLOCK_ELEMENTS // width)
-    acc_buf, tmp_buf = scratch
+    gathers = columns.gathers
+    width = gathers[0].shape[1]
+    dtype = gathers[0].dtype
+    block = max(1, _BLOCK_ELEMENTS * 8 // dtype.itemsize // width)
+    acc_buf, tmp_buf = (buf.view(dtype) for buf in scratch)
     changes = 0
     for a in range(start, stop, block):
         b = min(a + block, stop)
         acc = acc_buf[: (b - a) * width].reshape(b - a, width)
         tmp = tmp_buf[: (b - a) * width].reshape(b - a, width)
         # mode="clip" gathers straight into out; codes are validated.
-        np.take(columns[0], codes[a:b, 0], axis=0, out=acc, mode="clip")
-        for m in range(1, len(columns)):
-            np.take(columns[m], codes[a:b, m], axis=0, out=tmp, mode="clip")
+        np.take(gathers[0], codes[a:b, 0], axis=0, out=acc, mode="clip")
+        for m in range(1, len(gathers)):
+            np.take(gathers[m], codes[a:b, m], axis=0, out=tmp, mode="clip")
             acc += tmp
         best = acc.argmin(axis=1)
+        if columns.slack is not None:
+            _recheck(codes[a:b], columns, acc, best, scratch[1])
+        elif dists is not None:
+            dists[a:b] = acc[np.arange(b - a), best]
         changes += int(np.count_nonzero(best != labels[a:b]))
         labels[a:b] = best
-        if dists is not None:
-            dists[a:b] = acc[np.arange(b - a), best]
     return changes
+
+
+def _recheck(codes, columns: _Columns, acc, best, scratch) -> None:
+    """Give each row of a block of float32 sums acc its float64 label in
+    best, from the float32 argmin best holds.
+
+    A row whose runner-up passes _slack's test keeps its label. Each other
+    row recomputes in float64, through the flat offsets, its distance to
+    every column that the same test does not exclude, and takes the least,
+    lowest index on ties: its float32 argmin is among them, and every
+    excluded column is strictly farther. The float64 scratch is free here.
+    """
+    rows = np.arange(len(best))
+    low = acc[rows, best].astype(np.float64)
+    acc[rows, best] = np.inf
+    runner = acc[rows, acc.argmin(axis=1)].astype(np.float64)
+    grow, shift = columns.slack
+    p, q = 1 - grow, 1 + grow
+    doubt = np.flatnonzero(~(p * runner - q * low > shift))
+    if not len(doubt):
+        return
+    acc[doubt, best[doubt]] = low[doubt]
+    near = ~(p * acc[doubt].astype(np.float64) - (q * low[doubt])[:, None] > shift)
+    r, c = np.nonzero(near)
+    d = _paired_distance_sq(
+        columns.tables, codes.take(doubt[r], axis=0), columns.offsets, c, scratch=scratch
+    )
+    # Per row, the least (distance, column): the first entry of its run.
+    order = np.lexsort((c, d, r))
+    best[doubt] = c[order[np.searchsorted(r[order], np.arange(len(doubt)))]]
 
 
 def _table_distances(codes, tables, centers, labels):
@@ -213,14 +320,18 @@ def _merge_moved(codes, tables, offsets, old_offsets, moved, moved_mask, columns
     changes = far_rows = 0
     # The recomputes run in the scan's first scratch, free until the scan.
     recompute = partial(_paired_distance_sq, tables, scratch=scratch[0])
+    size = min(_GROUP_ROWS, stop - start)
+    u_buf, d_old_buf, dist_buf = np.empty(size), np.empty(size), np.empty(size)
+    best_buf = np.empty(size, dtype=labels.dtype)
     for g in range(start, stop, _GROUP_ROWS):
         h = min(g + _GROUP_ROWS, stop)
         group, own = codes[g:h], labels[g:h]
         stale = np.flatnonzero(moved_mask[own])
-        u = recompute(group, offsets, own)
+        u = recompute(group, offsets, own, u_buf[: h - g])
         # take along axis 0 copies a code row at once; codes[rows] goes
         # element by element and takes several times as long.
-        d_old = recompute(group.take(stale, axis=0), old_offsets, own[stale])
+        d_old = d_old_buf[: len(stale)]
+        recompute(group.take(stale, axis=0), old_offsets, own[stale], d_old)
         far = stale[u[stale] > d_old]
         far_rows += len(far)
         if len(far):
@@ -229,9 +340,13 @@ def _merge_moved(codes, tables, offsets, old_offsets, moved, moved_mask, columns
             group, kept, u = group.take(rows, axis=0), own[rows], u[rows]
         else:
             kept = own
-        best = np.empty(len(u), dtype=labels.dtype)
-        best_dist = np.empty(len(u))
-        _scan(group, columns, best, best_dist, 0, len(u), scratch)
+        best, best_dist = best_buf[: len(u)], dist_buf[: len(u)]
+        if columns.slack is None:
+            _scan(group, columns, best, best_dist, 0, len(u), scratch)
+        else:
+            # The float32 ranking gives the label; its distance is float64's.
+            _scan(group, columns, best, None, 0, len(u), scratch)
+            recompute(group, columns.offsets, best, best_dist)
         best = moved.take(best)
         wins = best_dist < u
         wins |= (best_dist == u) & (best < kept)
@@ -443,9 +558,12 @@ def fit(
     center, and to the old center when that moved, compares the points
     whose center moved away from them against every center and all others
     against the moved centers alone, by one merge rule; the labels are
-    exactly those of a full scan (see _table_assign). The fit holds the
-    codes, the labels and fixed-size scratch: one pass per iteration
-    recomputes the distances for the objective and the repair.
+    exactly those of a full scan (see _table_assign). A scan over 256 or
+    more centers, or on tables of small integers, ranks in float32 and
+    rechecks near ties in float64, with the float64 scan's labels (see
+    _scan). The fit holds the codes, the labels and fixed-size scratch:
+    one pass per iteration recomputes the distances for the objective and
+    the repair.
 
     Args:
         codes: uint8 codes, shape (N, M).
@@ -539,8 +657,12 @@ def estimate_working_set(
     * the codes, M bytes per point;
     * the uint32 labels, 4 bytes per point;
     * two float64 scan blocks of max(2**16, K) elements per thread;
-    * the float64 distance tables, M * L * L * 8 bytes, and the center
-      columns the scan gathers from, M * L * K * 8 bytes.
+    * the float64 distance tables, M * L * L * 8 bytes;
+    * the center columns the scan gathers from, M * L * K * 8 bytes below
+      _FLOAT32_COLUMNS centers. From there on the scans over all K take
+      float32 columns, M * L * K * 4 bytes, or pass 1's float64 columns
+      of fewer moved centers than that, at most
+      M * L * (_FLOAT32_COLUMNS - 1) * 8 bytes, whichever is more.
 
     No distance is kept between passes, so nothing else grows with N. The
     assignment recomputes the distances it compares against one group of
@@ -548,9 +670,9 @@ def estimate_working_set(
     marks the rows it rescans in their labels. The objective and the
     farthest-point repair recompute every distance in one pass, one leaf
     of 2**16 rows per thread, in the scan blocks, and keep at most K
-    candidate rows. The recomputes index the tables through the (K, M)
-    flat offsets of the centers and of the previous centers, M * K * 8
-    bytes each, 1/L of the center columns and not counted. The update
+    candidate rows. The recomputes and the float32 scan's rechecks index
+    the tables through (K, M) flat offsets of the centers, M * K * 8 bytes
+    per set, at most 2/L of the center columns and not counted. The update
     holds O(K * L). Pure arithmetic, no allocation.
     """
     if n < 0 or k < 0:
@@ -562,5 +684,7 @@ def estimate_working_set(
         )
     per_point = num_subspaces + 4
     scratch = 2 * 8 * max(_BLOCK_ELEMENTS, k) * max(1, min(threads, n))
-    tables = 8 * num_subspaces * num_codewords * (num_codewords + k)
+    narrow = 8 * min(k, _FLOAT32_COLUMNS - 1)
+    columns = narrow if k < _FLOAT32_COLUMNS else max(4 * k, narrow)
+    tables = num_subspaces * num_codewords * (8 * num_codewords + columns)
     return per_point * n + scratch + tables

@@ -134,7 +134,8 @@ def _range_runner(threads: int, n: int, width: int):
     parts = max(1, min(threads, n))
     edges = [n * t // parts for t in range(parts + 1)]
     # A table scan over w columns uses max(1, _BLOCK_ELEMENTS // w) * w
-    # elements of each; _nearest_center_range sizes its blocks to fit.
+    # elements of each, or twice as many float32 ones in the same bytes;
+    # _nearest_center_range sizes its blocks to fit.
     size = max(_BLOCK_ELEMENTS, width)
     scratch = [(np.empty(size), np.empty(size)) for _ in range(parts)]
     if parts == 1:

@@ -11,12 +11,12 @@ inter-codeword distances, without touching the original vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .lloyd import _check_indices, _kmeans, _nearest_center_range, _range_runner
+from .lloyd import _MAX32, _check_indices, _kmeans, _nearest_center_range, _range_runner
 
 MAX_CODEWORDS = 256
 
@@ -101,6 +101,17 @@ class DistanceTables:
     @property
     def num_codewords(self) -> int:
         return self.tables.shape[1]
+
+    @cached_property
+    def _float32_sums(self) -> tuple[bool, bool]:
+        """(finite, exact) for every float32 sum of one entry per subspace,
+        each entry rounded to float32: finite unless M times the largest
+        entry exceeds half the float32 range; exact when, besides, every
+        entry is an integer and M times the largest is below 2**24."""
+        t = self.tables
+        top = t.shape[0] * float(t.max(initial=0.0))
+        exact = top < 2**24 and all(np.array_equal(np.floor(table), table) for table in t)
+        return top <= _MAX32 / 2, exact
 
 
 def _check_finite(arr: np.ndarray, name: str, first_row: int = 0) -> None:

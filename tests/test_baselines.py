@@ -589,7 +589,7 @@ class TestBkmeans:
 
     @pytest.mark.parametrize("threads", [1, 2, 8])
     @pytest.mark.parametrize(
-        "case", ["b8", "b32", "b64", "duplicates_k_near_n", "no_center_moves"]
+        "case", ["b8", "b32", "b64", "duplicates_k_near_n", "no_center_moves", "k300"]
     )
     def test_matches_the_unpacked_majority_lloyd_loop(self, case, threads):
         rng = np.random.default_rng(20)
@@ -600,6 +600,10 @@ class TestBkmeans:
             width = 4 if case == "b32" else 8
             prototypes = rng.integers(0, 256, size=(12, width), dtype=np.uint8)
             packed, k = _noisy_codes(rng, prototypes, 3000, 0.15), 16
+        elif case == "k300":
+            # Past the float32 scan's column count; popcount sums are exact.
+            prototypes = rng.integers(0, 256, size=(40, 4), dtype=np.uint8)
+            packed, k = _noisy_codes(rng, prototypes, 3000, 0.15), 300
         elif case == "duplicates_k_near_n":
             distinct = rng.integers(0, 256, size=(30, 4), dtype=np.uint8)
             packed, k = np.repeat(distinct, 3, axis=0), 80

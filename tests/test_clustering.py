@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from pqclust import (
+    DistanceTables,
     PQCodebook,
     assign,
     build_distance_tables,
@@ -26,7 +27,8 @@ from pqclust import (
     update_center_sparse,
 )
 import pqclust
-from pqclust.clustering import _FULL_SCAN_MOVED, _sparse_update_all, _table_assign, _vote
+from pqclust.clustering import _FLOAT32_COLUMNS, _FULL_SCAN_MOVED, _sparse_update_all, _table_assign
+from pqclust.clustering import _vote
 from pqclust.lloyd import _CHUNK_ROWS, _joint_counts, _joint_dtype, _range_runner
 
 
@@ -41,6 +43,46 @@ def lattice_tables(m, l_count):
     grid = np.arange(l_count, dtype=np.float32).reshape(l_count, 1)
     book = PQCodebook(np.broadcast_to(grid, (m, l_count, 1)).copy())
     return build_distance_tables(book)
+
+
+def ulp_pair_tables():
+    """M=3, L=4 tables on which the code (0, 0, 0) lies one float64 ulp
+    nearer center (2, 0, 0) than center (1, 1, 0), while float32 sums put
+    (1, 1, 0) a float32 ulp nearer. Every other entry is 4.
+
+    Center (2, 0, 0) sums 1 + 2^-24 + 2^-30, which rounds up to 1 + 2^-23
+    in float32. Center (1, 1, 0) sums 1 + 2^-24 - 2^-30, which rounds down
+    to 1, and 2^-29 + 2^-52, which rounds to 2^-29 and adds nothing to 1
+    in float32; in float64 it sums 1 + 2^-24 + 2^-30 + 2^-52."""
+    t = np.tile(4.0 * (1 - np.eye(4)), (3, 1, 1))
+    for m, j, value in ((0, 1, 1 + 2**-24 - 2**-30), (0, 2, 1 + 2**-24 + 2**-30),
+                        (1, 1, 2**-29 + 2**-52)):
+        t[m, 0, j] = t[m, j, 0] = value
+    return DistanceTables(t)
+
+
+def nearest_centers(codes, centers, tables):
+    """The float64 scan's labels: the M table entries summed in subspace
+    order, and the least sum, lowest index on ties."""
+    dists = sum(
+        tables.tables[m][codes[:, m]][:, centers[:, m]] for m in range(codes.shape[1])
+    )
+    return np.argmin(dists, axis=1).astype(np.uint32)
+
+
+def rescans(codes, tables, before, after, labels):
+    """The trace's rescanned_points for the step from the centers `before`
+    (with their labels) to `after`: 0 when no center moved, every row in a
+    full scan, else the rows whose center moved and whose distance to it
+    rose."""
+    moved = np.any(before != after, axis=1)
+    if moved.sum() > _FULL_SCAN_MOVED * len(after):
+        return len(codes)
+    rows = np.flatnonzero(moved[labels])
+    rose = paired_distance_sq(tables, codes[rows], after[labels[rows]]) > paired_distance_sq(
+        tables, codes[rows], before[labels[rows]]
+    )
+    return int(np.count_nonzero(rose))
 
 
 def incremental_ties(codes, tables, before, after, labels):
@@ -262,27 +304,47 @@ class TestAssignment:
 
     @pytest.mark.parametrize("threads", [1, 2, 8])
     @pytest.mark.parametrize(
-        "n, k, lattice",
+        "n, k, kind",
         [
-            (1000, 3000, False),  # 21-row blocks, the last one partial
-            (5, 65537, False),  # 1-row blocks
-            (1, 7, False),  # fewer rows than threads
-            (1001, 50, False),  # N not divisible by the thread count
-            (777, 300, True),  # exact ties across duplicate centers
+            (1000, 3000, "random"),  # 43-row float32 blocks, the last one partial
+            (5, 65537, "random"),  # 1-row blocks
+            (1, 7, "random"),  # fewer rows than threads
+            (1001, 50, "random"),  # N not divisible by the thread count
+            (777, 300, "lattice"),  # exact ties across duplicate centers
+            # Float tables on each side of the float32 scan's column count.
+            *[
+                (600, k, kind)
+                for kind in ("random", "subnormal", "huge", "ulp")
+                for k in (_FLOAT32_COLUMNS - 1, _FLOAT32_COLUMNS, 3000)
+                if (kind, k) != ("random", 3000)
+            ],
         ],
+        # n-k-False on random tables and n-k-True on the lattice.
+        ids=lambda v: str(v == "lattice") if v in ("random", "lattice") else None,
     )
-    def test_blocked_scan_matches_vectorized_reference(self, n, k, lattice, threads):
+    def test_blocked_scan_matches_vectorized_reference(self, n, k, kind, threads):
         rng = np.random.default_rng(n + k)
-        tables = lattice_tables(3, 8) if lattice else random_tables(3, 16, seed=k)
+        tables = lattice_tables(3, 8) if kind == "lattice" else random_tables(3, 16, seed=k)
+        if kind == "subnormal":
+            # Every entry rounds to float32 zero: every float32 sum ties.
+            tables = DistanceTables(tables.tables * 1e-47)
+        elif kind == "huge":
+            # Beyond float32's range: only the float64 scan can rank these.
+            tables = DistanceTables(tables.tables * 1e39)
+        elif kind == "ulp":
+            tables = ulp_pair_tables()
         l_count = tables.num_codewords
         codes = rng.integers(0, l_count, size=(n, 3), dtype=np.uint8)
         centers = rng.integers(0, l_count, size=(k, 3), dtype=np.uint8)
-        if lattice:
+        if kind == "lattice":
             centers[1::2] = centers[::2][: k // 2]
-        dists = sum(
-            tables.tables[m][codes[:, m]][:, centers[:, m]] for m in range(3)
-        )
-        expected = np.argmin(dists, axis=1).astype(np.uint32)
+        if kind == "ulp":
+            codes[::2] = 0
+            centers[:2] = [[1, 1, 0], [2, 0, 0]]
+            centers[2:, 0] = 3
+        expected = nearest_centers(codes, centers, tables)
+        if kind == "ulp":
+            assert np.all(expected[::2] == 1)
         got = assign(codes, centers, tables, threads)
         assert got.tobytes() == expected.tobytes()
 
@@ -570,7 +632,7 @@ class TestFit:
 
     @pytest.mark.parametrize("threads", [1, 2, 8])
     @pytest.mark.parametrize(
-        "case", ["duplicate_centers", "repairs", "no_moves", "ties", "random"]
+        "case", ["duplicate_centers", "repairs", "no_moves", "ties", "random", "float32"]
     )
     def test_in_loop_labels_match_a_full_assignment(self, case, threads):
         rng = np.random.default_rng(40)
@@ -602,6 +664,12 @@ class TestFit:
             codes = codes.reshape(-1, 1)
             initial = np.array([[1], [100], [198]], dtype=np.uint8)
             k = 3
+        elif case == "float32":
+            # Float tables with exact float64 ties, ranked in float32 from
+            # _FLOAT32_COLUMNS centers on: ties and near ties go to the recheck.
+            tables = DistanceTables(lattice_tables(4, 16).tables / 3)
+            codes = rng.integers(0, 16, size=(4000, 4), dtype=np.uint8)
+            k = 800
         else:
             tables = random_tables(4, 32, seed=41)
             codes = rng.integers(0, 32, size=(5000, 4), dtype=np.uint8)
@@ -613,6 +681,9 @@ class TestFit:
             assert sum(s.repaired_clusters for s in full.trace) > 0
         elif case == "no_moves":
             assert moved == [3, 0]
+        elif case == "float32":
+            # Pass 1 scans the moved centers in float32, and pass 2 all of them.
+            assert any(_FLOAT32_COLUMNS <= m <= _FULL_SCAN_MOVED * k for m in moved)
         else:
             assert any(0 < m <= _FULL_SCAN_MOVED * k for m in moved)
 
@@ -620,8 +691,10 @@ class TestFit:
         ties = set()
         for i in range(1, full.iterations_run + 1):
             capped = fit(codes, tables, k, max_iterations=i, **kwargs)
-            assert capped.labels.tobytes() == assign(codes, used, tables).tobytes()
+            assert capped.labels.tobytes() == nearest_centers(codes, used, tables).tobytes()
             stats = capped.trace[-1]
+            if i > 1:
+                assert stats.rescanned_points == rescans(codes, tables, previous, used, labels)
             assert stats.objective_sq == pq_cost_sq(codes, used, capped.labels, tables)
             assert stats.objective == pq_cost(codes, used, capped.labels, tables)
             if case == "ties" and i > 1:
@@ -682,11 +755,17 @@ class TestWorkingSet:
             - estimate_working_set(1000, 100, 4, 256)
             == 2 * scratch
         )
+        # From _FLOAT32_COLUMNS centers on, the columns take 4 bytes an entry,
+        # or pass 1's float64 columns of fewer moved centers, whichever is
+        # more.
+        wide = _FLOAT32_COLUMNS
+        columns = 4 * 256 * (8 * 256 + 8 * (wide - 1))
+        assert estimate_working_set(0, wide, 4, 256) == scratch + columns
         # More centers than a scan block holds widen each thread's blocks.
         big_k = 2**17
-        assert estimate_working_set(0, big_k, 1, 2) == 2 * 8 * big_k + 8 * 2 * (2 + big_k)
+        assert estimate_working_set(0, big_k, 1, 2) == 2 * 8 * big_k + 2 * (8 * 2 + 4 * big_k)
         figure = estimate_working_set(10**9, 10**5, 4, 256, threads=2)
-        assert 8.8 * 10**9 < figure < 8.9 * 10**9
+        assert 8.4 * 10**9 < figure < 8.45 * 10**9
 
     def test_validation(self):
         with pytest.raises(ValueError, match="non-negative"):
