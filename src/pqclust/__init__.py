@@ -11,17 +11,14 @@ from .baselines import (
     Binarizer,
     bkmeans_fit,
     binarize,
-    hamming_to_centers,
     kmeans_fit,
     majority_center,
     original_space_error,
     rand_index,
     train_binarizer,
-    unpack_bits,
 )
 from .clustering import (
     ClusteringResult,
-    IterationStats,
     MemoryEstimate,
     assign,
     build_histogram,
@@ -29,12 +26,10 @@ from .clustering import (
     estimate_working_set,
     fit,
     init_centers,
-    pq_cost,
-    pq_cost_sq,
     update_center_naive,
     update_center_sparse,
 )
-from .lloyd import cluster_means
+from .lloyd import IterationStats, cluster_means
 from .pq import (
     MAX_CODEWORDS,
     DistanceTables,
@@ -43,7 +38,6 @@ from .pq import (
     decode,
     encode,
     paired_distance_sq,
-    symmetric_distance_sq,
     train_codebook,
 )
 
@@ -68,19 +62,14 @@ __all__ = [
     "estimate_memory",
     "estimate_working_set",
     "fit",
-    "hamming_to_centers",
     "init_centers",
     "kmeans_fit",
     "majority_center",
     "original_space_error",
     "paired_distance_sq",
-    "pq_cost",
-    "pq_cost_sq",
     "rand_index",
-    "symmetric_distance_sq",
     "train_binarizer",
     "train_codebook",
-    "unpack_bits",
     "update_center_naive",
     "update_center_sparse",
 ]

@@ -162,11 +162,6 @@ def binarize(binarizer: Binarizer, vectors: np.ndarray) -> np.ndarray:
     return packed[0] if single else packed
 
 
-def unpack_bits(codes: np.ndarray, bits: int) -> np.ndarray:
-    """Expand packed codes (N, B/8) into a 0/1 matrix (N, B)."""
-    return np.unpackbits(np.atleast_2d(codes), axis=1, count=bits)
-
-
 def majority_center(member_bits: np.ndarray) -> np.ndarray:
     """Per-bit majority vote over one cluster's members.
 
@@ -189,12 +184,6 @@ def majority_center(member_bits: np.ndarray) -> np.ndarray:
         raise ValueError("member_bits entries must be 0 or 1")
     ones = bits.sum(axis=0, dtype=np.int64)
     return (2 * ones > len(bits)).astype(np.uint8)
-
-
-def hamming_to_centers(codes: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Hamming distances between packed codes (N, W) and centers (K, W)."""
-    xor = codes[:, None, :] ^ centers[None, :, :]
-    return _POPCOUNT[xor].sum(axis=2, dtype=np.int64)
 
 
 def bkmeans_fit(
@@ -242,8 +231,8 @@ def bkmeans_fit(
     centers = _first_centers(packed, k, max_iterations, seed, initial_centers)
     centers = _check_indices(centers, (k, width), 256, "initial_centers").astype(np.uint8)
     # Every byte subspace has the table T[a, b] = popcount(a ^ b). Sums of
-    # these small integers are exact in float64, so the scan's distances and
-    # ties are hamming_to_centers'.
+    # these small integers are exact in float64, so the scan's distances are
+    # the exact Hamming distances and its ties are exact ties.
     byte = np.arange(256, dtype=np.uint8)
     hamming = _POPCOUNT[np.bitwise_xor.outer(byte, byte)]
     tables = DistanceTables(np.broadcast_to(hamming, (width, 256, 256)))

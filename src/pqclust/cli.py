@@ -90,6 +90,8 @@ def _check_common(args: argparse.Namespace) -> None:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
     if getattr(args, "threads", 1) < 1:
         raise ValueError(f"--threads must be positive, got {args.threads}")
+    if getattr(args, "max_iterations", 1) < 1:
+        raise ValueError(f"--max-iterations must be positive, got {args.max_iterations}")
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -313,8 +315,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     _check_common(args)
     if args.k < 1:
         raise ValueError(f"--k must be positive, got {args.k}")
-    if args.max_iterations < 1:
-        raise ValueError(f"--max-iterations must be positive, got {args.max_iterations}")
     out_dir = Path(args.out_dir)
     inputs, load_seconds = _load_inputs(args, [args.method], "--k", args.k)
     start = time.perf_counter()
@@ -431,7 +431,12 @@ def _write_bench_csv(fh, rows: list[dict]) -> None:
 def cmd_bench(args: argparse.Namespace) -> int:
     _check_common(args)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    k_grid = [int(v) for v in args.k_grid.split(",") if v.strip()]
+    k_grid = []
+    for entry in filter(str.strip, args.k_grid.split(",")):
+        try:
+            k_grid.append(int(entry))
+        except ValueError:
+            raise ValueError(f"--k-grid entries must be integers, got {entry!r}") from None
     if not methods or not k_grid:
         raise ValueError("--methods and --k-grid must be non-empty")
     if any(k < 1 for k in k_grid):

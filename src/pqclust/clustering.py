@@ -19,9 +19,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy import sparse
 
-# IterationStats is imported so that callers can still name it here.
-from .lloyd import _BLOCK_ELEMENTS, ClusteringResult, IterationStats, _check_indices
-from .lloyd import _joint_counts, _lloyd, _mean_of, _range_runner
+from .lloyd import _BLOCK_ELEMENTS, ClusteringResult, _check_indices
+from .lloyd import _joint_counts, _lloyd, _range_runner
 from .pq import DistanceTables, _flat_offsets, _paired_distance_sq
 
 # Rows per selection group of the incremental assignment: each group picks
@@ -444,43 +443,6 @@ def assign(
     with _range_runner(threads, len(codes), len(centers)) as run:
         run(partial(_scan, codes, _center_columns(tables, centers), labels, None))
     return labels
-
-
-def pq_cost(
-    codes: np.ndarray,
-    centers: np.ndarray,
-    assignment: np.ndarray,
-    tables: DistanceTables,
-) -> float:
-    """Mean symmetric distance (non-squared) of points to assigned centers.
-    codes (N, M), centers (K, M) and assignment (N,) must be integers (not
-    bool) in [0, L), [0, L) and [0, K), else ValueError naming the input."""
-    sd_sq = _assigned_distance_sq(codes, centers, assignment, tables)
-    return _mean_of(np.sqrt, sd_sq) if len(sd_sq) else 0.0
-
-
-def pq_cost_sq(
-    codes: np.ndarray,
-    centers: np.ndarray,
-    assignment: np.ndarray,
-    tables: DistanceTables,
-) -> float:
-    """Mean squared symmetric distance of points to assigned centers."""
-    sd_sq = _assigned_distance_sq(codes, centers, assignment, tables)
-    return float(np.mean(sd_sq)) if len(sd_sq) else 0.0
-
-
-def _assigned_distance_sq(
-    codes: np.ndarray,
-    centers: np.ndarray,
-    assignment: np.ndarray,
-    tables: DistanceTables,
-) -> np.ndarray:
-    shape, bound = (None, tables.num_subspaces), tables.num_codewords
-    codes = _check_indices(codes, shape, bound, "codes")
-    centers = _check_indices(centers, shape, bound, "centers")
-    assignment = _check_indices(assignment, (len(codes),), len(centers), "assignment")
-    return _paired_distance_sq(tables, codes, _flat_offsets(tables, centers), assignment)
 
 
 def _sparse_update_all(

@@ -178,12 +178,6 @@ def _leaves(n: int) -> list[tuple[int, int]]:
     return leaves
 
 
-def _mean_of(f, x: np.ndarray) -> float:
-    """float(np.mean(f(x))) of a 1-d float64 x and an elementwise f, to the
-    last bit, holding f of one leaf of _pairwise_sum at a time."""
-    return float(_pairwise_sum(len(x), lambda a, b: np.add.reduce(f(x[a:b]))) / len(x))
-
-
 def _measure(n: int, distances, squared: bool, e: int, run):
     """One pass over the n distances that distances(a, b, out, scratch)
     writes into out for the rows [a, b). Returns the trace's (objective,

@@ -329,24 +329,3 @@ def _paired_distance_sq(
         for m in range(1, m_count):
             acc += values[:, m]
     return out
-
-
-def symmetric_distance_sq(tables: DistanceTables, a: np.ndarray, b: np.ndarray) -> float:
-    """Squared symmetric distance between two PQ codes.
-
-    The distance is the sum over subspaces of the tabulated squared
-    distance between the two selected codewords. It equals the squared
-    Euclidean distance between decode(a) and decode(b) up to float
-    accumulation.
-
-    Args:
-        tables: Precomputed distance tables.
-        a: Code of shape (M,).
-        b: Code of shape (M,).
-
-    Returns:
-        Squared distance as a float.
-    """
-    shape, bound = (tables.num_subspaces,), tables.num_codewords
-    a, b = _check_indices(a, shape, bound, "a"), _check_indices(b, shape, bound, "b")
-    return float(_paired_distance_sq(tables, a[None, :], _flat_offsets(tables, b[None, :]))[0])

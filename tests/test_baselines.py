@@ -15,13 +15,11 @@ from pqclust import (
     binarize,
     bkmeans_fit,
     cluster_means,
-    hamming_to_centers,
     kmeans_fit,
     majority_center,
     original_space_error,
     rand_index,
     train_binarizer,
-    unpack_bits,
 )
 from pqclust import lloyd
 from pqclust.baselines import _BINARIZE_ROWS
@@ -29,6 +27,11 @@ from pqclust.baselines import streamed_original_space_error
 from pqclust.clustering import _BLOCK_ELEMENTS, _sparse_update_all
 from pqclust.lloyd import _MEAN_ROWS
 from pqclust.io import generate_synthetic
+
+
+def _hamming(a, b):
+    """Hamming distances between packed codes a (N, W) and b (K, W)."""
+    return np.unpackbits(a[:, None] ^ b[None], axis=2).sum(axis=2)
 
 
 def _bincount_means(points, labels, k):
@@ -419,7 +422,7 @@ class TestBinarizer:
         assert packed.shape == (30, 1)
         assert packed.dtype == np.uint8
         expected = (vectors.astype(np.float64) @ bz.rotation >= 0).astype(np.uint8)
-        assert np.array_equal(unpack_bits(packed, 8), expected)
+        assert np.array_equal(np.unpackbits(packed, axis=1), expected)
 
     def test_zero_vector_sets_every_bit(self):
         bz = train_binarizer(16, 16, seed=8)
@@ -460,11 +463,6 @@ class TestBinarizer:
         assert single.shape == (4,)
         assert single.tobytes() == reference[_BINARIZE_ROWS + 3].tobytes()
 
-    def test_unpack_round_trip(self):
-        rng = np.random.default_rng(13)
-        packed = rng.integers(0, 256, size=(10, 3), dtype=np.uint8)
-        assert np.array_equal(np.packbits(unpack_bits(packed, 24), axis=1), packed)
-
 
 class TestMajorityCenter:
     def test_hand_cases(self):
@@ -500,7 +498,7 @@ class TestMajorityCenter:
         rng = np.random.default_rng(16)
         k = 1020
         byte = np.arange(256, dtype=np.uint8)[:, None]
-        tables = DistanceTables(np.broadcast_to(hamming_to_centers(byte, byte), (3, 256, 256)))
+        tables = DistanceTables(np.broadcast_to(_hamming(byte, byte), (3, 256, 256)))
         tied = rng.integers(0, 256, size=(30, 3), dtype=np.uint8)
         packed = np.concatenate(
             [rng.integers(0, 256, size=(3000, 3), dtype=np.uint8), tied, ~tied]
@@ -521,7 +519,7 @@ class TestMajorityCenter:
         for ki in range(k):
             members = packed[labels == ki]
             expected = (
-                np.packbits(majority_center(unpack_bits(members, 24)))
+                np.packbits(majority_center(np.unpackbits(members, axis=1)))
                 if len(members) else np.zeros(3, dtype=np.uint8)
             )
             assert np.array_equal(centers[ki], expected)
@@ -530,19 +528,6 @@ class TestMajorityCenter:
             len(np.unique(packed[labels == ki, m])) for ki in np.flatnonzero(counts) for m in range(3)
         )
         assert nnz == distinct / (3 * np.count_nonzero(counts))
-
-
-class TestHamming:
-    def test_matches_unpacked_xor(self):
-        rng = np.random.default_rng(15)
-        codes = rng.integers(0, 256, size=(25, 4), dtype=np.uint8)
-        centers = rng.integers(0, 256, size=(6, 4), dtype=np.uint8)
-        got = hamming_to_centers(codes, centers)
-        assert got.shape == (25, 6)
-        a = unpack_bits(codes, 32)
-        b = unpack_bits(centers, 32)
-        expected = (a[:, None, :] != b[None, :, :]).sum(axis=2)
-        assert np.array_equal(got, expected)
 
 
 class TestBkmeans:
@@ -649,7 +634,7 @@ class TestBkmeans:
 def _noisy_codes(rng, prototypes, n, flip):
     """n packed codes, each a random prototype with bits flipped at rate flip."""
     picks = rng.integers(0, len(prototypes), size=n)
-    bits = unpack_bits(prototypes[picks], 8 * prototypes.shape[1])
+    bits = np.unpackbits(prototypes[picks], axis=1)
     return np.packbits(bits ^ (rng.random(bits.shape) < flip), axis=1)
 
 
@@ -659,12 +644,11 @@ def _reference_bkmeans(packed, centers, max_iterations):
     it stops when the update reproduced the previous centers. Returns
     labels, centers, the trace's (objective, objective_sq) pairs and the
     converged flag."""
-    n, width = packed.shape
-    k = len(centers)
+    n, k = len(packed), len(centers)
     objectives = []
     previous = None
     for _ in range(max_iterations):
-        distances = hamming_to_centers(packed, centers)
+        distances = _hamming(packed, centers)
         labels = np.argmin(distances, axis=1)
         own = distances[np.arange(n), labels].astype(np.float64)
         objectives.append((float(np.mean(own)), float(np.mean(own**2))))
@@ -673,7 +657,7 @@ def _reference_bkmeans(packed, centers, max_iterations):
         updated = np.zeros_like(centers)
         counts = np.bincount(labels, minlength=k)
         for ki in np.flatnonzero(counts):
-            members = unpack_bits(packed[labels == ki], 8 * width)
+            members = np.unpackbits(packed[labels == ki], axis=1)
             updated[ki] = np.packbits(majority_center(members))
         for ki in np.flatnonzero(counts == 0):
             far = int(np.argmax(own))

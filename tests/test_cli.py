@@ -662,6 +662,20 @@ _EARLY_FAILURES = [
         ["bench", "--k-grid", "0,5", *_PQ, "--out", "{out}"],
         "--k-grid entries must be positive, got [0, 5]", id="bench-k-grid-entry",
     ),
+    pytest.param(
+        ["bench", "--k-grid", "10,x", *_PQ, "--out", "{out}"],
+        "--k-grid entries must be integers, got 'x'", id="bench-k-grid-integer",
+    ),
+    pytest.param(
+        ["bench", "--k-grid", "2.5", *_PQ, "--out", "{out}"],
+        "--k-grid entries must be integers, got '2.5'", id="bench-k-grid-float",
+    ),
+    # Checked before bench binarizes --data, so no code file is written.
+    pytest.param(
+        ["bench", "--methods", "bkmeans", "--k-grid", "10", "--data", "{data}", "--bits", "8",
+         "--binary-codes-out", "{out}", "--max-iterations", "0"],
+        "--max-iterations must be positive, got 0", id="bench-max-iterations",
+    ),
     # Empty inputs fail by name where they are read.
     pytest.param(
         _cluster("pqkmeans", 2, "--codes", "{empty_codes}", "--codebook", "{book}"),

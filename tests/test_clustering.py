@@ -21,8 +21,6 @@ from pqclust import (
     fit,
     init_centers,
     paired_distance_sq,
-    pq_cost,
-    pq_cost_sq,
     update_center_naive,
     update_center_sparse,
 )
@@ -357,15 +355,22 @@ class TestAssignment:
             assign(np.zeros((4, 3), dtype=np.uint8), codes[:1], tables)
 
 
+def objectives(codes, centers, labels, tables):
+    """The trace's (objective, objective_sq) for labels against centers:
+    numpy's means over the whole array of distances."""
+    sq = paired_distance_sq(tables, codes, centers[labels])
+    return float(np.mean(np.sqrt(sq))), float(np.mean(sq))
+
+
 class TestCosts:
     def test_costs_match_manual_means(self):
         tables = lattice_tables(1, 10)
         codes = np.array([[0], [2], [9]], dtype=np.uint8)
         centers = np.array([[1], [9]], dtype=np.uint8)
-        labels = np.array([0, 0, 1], dtype=np.uint32)
-        # Squared distances: 1, 1, 0.
-        assert pq_cost_sq(codes, centers, labels, tables) == pytest.approx(2.0 / 3.0)
-        assert pq_cost(codes, centers, labels, tables) == pytest.approx(2.0 / 3.0)
+        stats = fit(codes, tables, 2, max_iterations=1, initial_centers=centers).trace[0]
+        # Labels 0, 0, 1; squared distances: 1, 1, 0.
+        assert stats.objective_sq == pytest.approx(2.0 / 3.0)
+        assert stats.objective == pytest.approx(2.0 / 3.0)
 
     def test_cost_is_the_mean_of_the_whole_sqrt_array(self):
         # Several leaves of the streamed mean, and random tables whose
@@ -374,27 +379,9 @@ class TestCosts:
         tables = random_tables(4, 256, seed=44)
         codes = rng.integers(0, 256, size=(3 * _CHUNK_ROWS + 5, 4), dtype=np.uint8)
         centers = rng.integers(0, 256, size=(9, 4), dtype=np.uint8)
-        labels = rng.integers(0, 9, size=len(codes)).astype(np.uint32)
-        sq = paired_distance_sq(tables, codes, centers[labels])
-        assert pq_cost(codes, centers, labels, tables) == float(np.mean(np.sqrt(sq)))
-        assert pq_cost_sq(codes, centers, labels, tables) == float(np.mean(sq))
-
-    def test_cost_validation(self):
-        tables = lattice_tables(1, 4)
-        codes = np.zeros((3, 1), dtype=np.uint8)
-        centers = np.zeros((2, 1), dtype=np.uint8)
-        with pytest.raises(ValueError, match="assignment must have shape"):
-            pq_cost(codes, centers, np.zeros(2, dtype=np.uint32), tables)
-        with pytest.raises(ValueError, match=r"assignment must lie in \[0, 2\), got 2"):
-            pq_cost(codes, centers, np.array([0, 1, 2], dtype=np.uint32), tables)
-        with pytest.raises(ValueError, match=r"assignment must lie in \[0, 2\), got -1"):
-            pq_cost(codes, centers, [0, 1, -1], tables)
-        with pytest.raises(ValueError, match=r"assignment must lie in \[0, 2\), got -1"):
-            pq_cost_sq(codes, centers, np.array([0, -1, 1], dtype=np.int64), tables)
-        with pytest.raises(ValueError, match="assignment must be integers"):
-            pq_cost(codes, centers, np.array([0.0, 1.0, 0.0]), tables)
-        with pytest.raises(ValueError, match="assignment must be integers"):
-            pq_cost_sq(codes, centers, np.array([True, False, True]), tables)
+        stats = fit(codes, tables, 9, max_iterations=1, initial_centers=centers).trace[0]
+        labels = assign(codes, centers, tables)
+        assert (stats.objective, stats.objective_sq) == objectives(codes, centers, labels, tables)
 
 
 class TestFit:
@@ -695,8 +682,9 @@ class TestFit:
             stats = capped.trace[-1]
             if i > 1:
                 assert stats.rescanned_points == rescans(codes, tables, previous, used, labels)
-            assert stats.objective_sq == pq_cost_sq(codes, used, capped.labels, tables)
-            assert stats.objective == pq_cost(codes, used, capped.labels, tables)
+            assert (stats.objective, stats.objective_sq) == objectives(
+                codes, used, capped.labels, tables
+            )
             if case == "ties" and i > 1:
                 ties |= incremental_ties(codes, tables, previous, used, labels)
             previous, labels, used = used, capped.labels, capped.centers

@@ -20,9 +20,6 @@ from pqclust import (
     fit,
     original_space_error,
     paired_distance_sq,
-    pq_cost,
-    pq_cost_sq,
-    symmetric_distance_sq,
     update_center_naive,
     update_center_sparse,
 )
@@ -34,7 +31,6 @@ BOOK = PQCodebook(np.random.default_rng(0).normal(size=(M, L, 2)))
 TABLES = build_distance_tables(BOOK)
 CODES = np.array([[0, 1], [1, 2], [2, 3], [3, 0], [0, 0], [1, 1]])
 CENTERS = CODES[:2]
-ASSIGNMENT = np.array([0, 1, 0, 1, 0, 1])
 COUNTS = np.array([1, 0, 2, 0])
 POINTS = np.arange(6, dtype=np.float32).reshape(3, 2)
 LABELS = np.array([0, 1, 1])
@@ -58,13 +54,6 @@ ENTRIES = {
     "streamed_original_space_error": (
         lambda v, d: streamed_original_space_error(lambda: [POINTS], v, 2), LABELS, 3, "labels",
     ),
-    "pq_cost.assignment": (
-        lambda v, d: pq_cost(CODES, CENTERS, v, TABLES), ASSIGNMENT, 2, "assignment",
-    ),
-    "pq_cost.codes": (lambda v, d: pq_cost(v, CENTERS, ASSIGNMENT, TABLES), CODES, L, "codes"),
-    "pq_cost_sq.centers": (
-        lambda v, d: pq_cost_sq(CODES, v, ASSIGNMENT, TABLES), CENTERS, L, "centers",
-    ),
     "assign.codes": (lambda v, d: assign(v, CENTERS, TABLES), CODES, L, "codes"),
     "assign.centers": (lambda v, d: assign(CODES, v, TABLES), CENTERS, L, "centers"),
     "fit.codes": (lambda v, d: fit(v, TABLES, 2), CODES, L, "codes"),
@@ -78,9 +67,6 @@ ENTRIES = {
     "decode": (lambda v, d: decode(BOOK, v), CODES, L, "codes"),
     "paired_distance_sq.a": (lambda v, d: paired_distance_sq(TABLES, v, CODES), CODES, L, "a"),
     "paired_distance_sq.b": (lambda v, d: paired_distance_sq(TABLES, CODES, v), CODES, L, "b"),
-    "symmetric_distance_sq": (
-        lambda v, d: symmetric_distance_sq(TABLES, v, CODES[0]), CODES[0], L, "a",
-    ),
     "write_labels": (lambda v, d: write_labels(d / "labels.bin", v), LABELS, 2**32, "labels"),
     "write_codes": (lambda v, d: write_codes(d / "codes.pqkc", v, L), CODES, L, "codes"),
     "CodesWriter.write": (lambda v, d: _write_streamed(d / "codes.pqkc", v), CODES, L, "codes"),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pqclust import assign, bkmeans_fit, encode, fit, kmeans_fit, train_codebook
-from pqclust.lloyd import _CHUNK_ROWS, _farthest, _leaves, _mean_of, _measure, _range_runner
+from pqclust.lloyd import _CHUNK_ROWS, _farthest, _leaves, _measure, _pairwise_sum, _range_runner
 from pqclust.pq import DistanceTables, PQCodebook
 
 # Sizes around numpy's own 8-wide and 128-long blocks, around one leaf, and
@@ -21,21 +21,26 @@ def _spread(rng, n):
     return 10.0 ** rng.uniform(-12, 12, size=n)
 
 
+def _pairwise_mean(f, x):
+    """The mean of f(x) from _pairwise_sum's leaves, one leaf of f at a time."""
+    return float(_pairwise_sum(len(x), lambda a, b: np.add.reduce(f(x[a:b]))) / len(x))
+
+
 class TestPairwiseSum:
-    # The helper copies numpy's internal pairwise split, which no API
+    # _pairwise_sum copies numpy's internal pairwise split, which no API
     # documents: if a numpy changes it, these equalities fail.
     @pytest.mark.parametrize("n", _BOUNDARY_SIZES)
-    def test_mean_of_is_numpys_mean_at_block_and_leaf_boundaries(self, n):
+    def test_pairwise_mean_is_numpys_mean_at_block_and_leaf_boundaries(self, n):
         x = _spread(np.random.default_rng(n), n)
-        assert _mean_of(np.sqrt, x) == float(np.mean(np.sqrt(x)))
-        assert _mean_of(np.square, x) == float(np.mean(np.square(x)))
+        assert _pairwise_mean(np.sqrt, x) == float(np.mean(np.sqrt(x)))
+        assert _pairwise_mean(np.square, x) == float(np.mean(np.square(x)))
 
-    def test_mean_of_is_numpys_mean_on_random_sizes(self):
+    def test_pairwise_mean_is_numpys_mean_on_random_sizes(self):
         rng = np.random.default_rng(40)
         for n in rng.integers(1, 3_000_000, size=12):
             x = _spread(rng, int(n))
-            assert _mean_of(np.sqrt, x) == float(np.mean(np.sqrt(x))), n
-            assert _mean_of(np.square, x) == float(np.mean(np.square(x))), n
+            assert _pairwise_mean(np.sqrt, x) == float(np.mean(np.sqrt(x))), n
+            assert _pairwise_mean(np.square, x) == float(np.mean(np.square(x))), n
 
     @pytest.mark.parametrize("n", [0, 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 5 * _CHUNK_ROWS + 13])
     def test_leaves_tile_the_rows_in_order(self, n):
@@ -53,7 +58,7 @@ class TestPairwiseSum:
         for a, b in _leaves(n):
             sequential += np.add.reduce(np.sqrt(x[a:b]))
         assert float(sequential / n) != float(np.mean(np.sqrt(x)))
-        assert _mean_of(np.sqrt, x) == float(np.mean(np.sqrt(x)))
+        assert _pairwise_mean(np.sqrt, x) == float(np.mean(np.sqrt(x)))
 
 
 def _farthest_rows(dists, e, rows=_CHUNK_ROWS):

@@ -11,7 +11,6 @@ from pqclust import (
     decode,
     encode,
     paired_distance_sq,
-    symmetric_distance_sq,
     train_codebook,
 )
 from pqclust import lloyd, pq
@@ -388,11 +387,11 @@ class TestSymmetricDistance:
     def test_symmetric_distance_properties(self):
         book = random_codebook(2, 8, 3, seed=19)
         tables = build_distance_tables(book)
-        a = np.array([1, 5], dtype=np.uint8)
-        b = np.array([7, 2], dtype=np.uint8)
-        assert symmetric_distance_sq(tables, a, a) == 0.0
-        assert symmetric_distance_sq(tables, a, b) == symmetric_distance_sq(tables, b, a)
-        assert symmetric_distance_sq(tables, a, b) > 0.0
+        a = np.array([[1, 5]], dtype=np.uint8)
+        b = np.array([[7, 2]], dtype=np.uint8)
+        assert paired_distance_sq(tables, a, a)[0] == 0.0
+        assert paired_distance_sq(tables, a, b)[0] == paired_distance_sq(tables, b, a)[0]
+        assert paired_distance_sq(tables, a, b)[0] > 0.0
 
     def test_matches_euclidean_between_decoded_codes(self):
         book = random_codebook(4, 32, 4, seed=21)
@@ -413,10 +412,4 @@ class TestSymmetricDistance:
                 tables,
                 np.zeros((3, 2), dtype=np.uint8),
                 np.zeros((4, 2), dtype=np.uint8),
-            )
-        with pytest.raises(ValueError, match=r"a must have shape \(2,\), got \(1, 2\)"):
-            symmetric_distance_sq(
-                tables,
-                np.zeros((1, 2), dtype=np.uint8),
-                np.zeros((1, 2), dtype=np.uint8),
             )
