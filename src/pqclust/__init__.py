@@ -18,7 +18,6 @@ from .baselines import (
     train_binarizer,
 )
 from .clustering import (
-    ClusteringResult,
     MemoryEstimate,
     assign,
     build_histogram,
@@ -29,7 +28,7 @@ from .clustering import (
     update_center_naive,
     update_center_sparse,
 )
-from .lloyd import IterationStats, cluster_means
+from .lloyd import ClusteringResult, IterationStats, cluster_means
 from .pq import (
     MAX_CODEWORDS,
     DistanceTables,

@@ -22,7 +22,7 @@ from pqclust import (
     train_binarizer,
 )
 from pqclust import lloyd
-from pqclust.baselines import _BINARIZE_ROWS
+from pqclust.baselines import _BINARIZE_ROWS, _POPCOUNT
 from pqclust.baselines import streamed_original_space_error
 from pqclust.clustering import _BLOCK_ELEMENTS, _sparse_update_all
 from pqclust.lloyd import _MEAN_ROWS
@@ -528,6 +528,20 @@ class TestMajorityCenter:
             len(np.unique(packed[labels == ki, m])) for ki in np.flatnonzero(counts) for m in range(3)
         )
         assert nnz == distinct / (3 * np.count_nonzero(counts))
+
+
+class TestHamming:
+    def test_matches_unpacked_xor(self):
+        # bkmeans_fit's table scan sums _POPCOUNT[a ^ b] over the bytes.
+        rng = np.random.default_rng(15)
+        codes = rng.integers(0, 256, size=(25, 4), dtype=np.uint8)
+        centers = rng.integers(0, 256, size=(6, 4), dtype=np.uint8)
+        got = _POPCOUNT[codes[:, None] ^ centers[None]].sum(axis=2)
+        assert got.shape == (25, 6)
+        a = np.unpackbits(codes, axis=1)
+        b = np.unpackbits(centers, axis=1)
+        expected = (a[:, None, :] != b[None, :, :]).sum(axis=2)
+        assert np.array_equal(got, expected)
 
 
 class TestBkmeans:
